@@ -107,7 +107,12 @@ def output_sensitivities(network: LoweredNetwork, spec: LinearOutputSpec,
     layers, passing ReLU layers with their upper-relaxation slope, and
     aggregates absolute values over the specification rows.
     """
-    slopes = _relaxation_slopes(report)
+    return _sensitivities_from_slopes(network, spec, _relaxation_slopes(report))
+
+
+def _sensitivities_from_slopes(network: LoweredNetwork, spec: LinearOutputSpec,
+                               slopes: List[np.ndarray]) -> List[np.ndarray]:
+    """:func:`output_sensitivities` for already computed relaxation slopes."""
     coefficients = spec.coefficients @ network.weights[-1]
     sensitivities: List[np.ndarray] = [np.abs(coefficients).max(axis=0)]
     for layer in range(network.num_relu_layers - 1, 0, -1):
@@ -117,13 +122,21 @@ def output_sensitivities(network: LoweredNetwork, spec: LinearOutputSpec,
     return sensitivities
 
 
-def _pre_activation_sensitivity(network: LoweredNetwork, slopes: List[np.ndarray],
-                                target_layer: int, source_layer: int) -> np.ndarray:
-    """|d z_target / d h_source| matrix estimate for ``source_layer < target_layer``."""
-    coefficients = network.weights[target_layer]
-    for layer in range(target_layer - 1, source_layer, -1):
-        coefficients = (np.abs(coefficients) * slopes[layer]) @ np.abs(network.weights[layer])
-    return np.abs(coefficients)
+def _pre_activation_sensitivities(network: LoweredNetwork, slopes: List[np.ndarray],
+                                  target_layer: int, lowest_source: int
+                                  ) -> Dict[int, np.ndarray]:
+    """|d z_target / d h_source| matrix estimates for every source layer in
+    ``lowest_source <= source < target_layer``, keyed by source layer.
+
+    The estimate for ``source`` extends the one for ``source + 1`` by one
+    relaxed layer, so the whole chain costs one product per layer.
+    """
+    coefficients = np.abs(network.weights[target_layer])
+    influences = {target_layer - 1: coefficients}
+    for layer in range(target_layer - 1, lowest_source, -1):
+        coefficients = np.abs((coefficients * slopes[layer]) @ np.abs(network.weights[layer]))
+        influences[layer - 1] = coefficients
+    return influences
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +165,11 @@ class BaBSRHeuristic(BranchingHeuristic):
     def scores(self, context: BranchingContext,
                unstable: Sequence[Neuron]) -> np.ndarray:
         sensitivities = output_sensitivities(context.network, context.spec, context.report)
+        gaps = {layer: _relaxation_gap(context.report, layer)
+                for layer in {layer for layer, _ in unstable}}
         scores = np.empty(len(unstable))
         for index, (layer, unit) in enumerate(unstable):
-            gap = _relaxation_gap(context.report, layer)[unit]
-            scores[index] = gap * sensitivities[layer][unit]
+            scores[index] = gaps[layer][unit] * sensitivities[layer][unit]
         return scores
 
 
@@ -179,22 +193,32 @@ class DeepSplitHeuristic(BranchingHeuristic):
         network = context.network
         report = context.report
         slopes = _relaxation_slopes(report)
-        sensitivities = output_sensitivities(network, context.spec, report)
+        sensitivities = _sensitivities_from_slopes(network, context.spec, slopes)
         gaps = [_relaxation_gap(report, layer)
                 for layer in range(network.num_relu_layers)]
 
         # Downstream influence: for every later layer with unstable neurons,
         # how much does each earlier neuron feed into those relaxation gaps?
+        # Each (later, layer) influence matrix is built once per call.  Every
+        # neuron still gets its own dot product with a strided column of it
+        # (a matrix-vector product would sum in another order), summed over
+        # the later layers in ascending order, so the scores are bit-for-bit
+        # those of scoring each neuron on its own.
+        lowest = min(layer for layer, _ in unstable) if unstable else 0
+        downstream = []  # (later, its gap weight, {layer: influence matrix})
+        for later in range(lowest + 1, network.num_relu_layers):
+            later_gap_weight = gaps[later] * sensitivities[later]
+            if np.any(later_gap_weight):
+                influences = _pre_activation_sensitivities(network, slopes, later, lowest)
+                downstream.append((later, later_gap_weight, influences))
+
         scores = np.empty(len(unstable))
         for index, (layer, unit) in enumerate(unstable):
             direct = gaps[layer][unit] * sensitivities[layer][unit]
             indirect = 0.0
-            for later in range(layer + 1, network.num_relu_layers):
-                later_gap_weight = gaps[later] * sensitivities[later]
-                if not np.any(later_gap_weight):
-                    continue
-                influence = _pre_activation_sensitivity(network, slopes, later, layer)
-                indirect += float(later_gap_weight @ influence[:, unit])
+            for later, later_gap_weight, influences in downstream:
+                if later > layer:
+                    indirect += float(later_gap_weight.dot(influences[layer][:, unit]))
             scores[index] = direct + self.indirect_weight * indirect
         return scores
 

@@ -70,11 +70,10 @@ class BoundReport:
         splits = splits or SplitAssignment.empty()
         unstable: List[Tuple[int, int]] = []
         for layer, bounds in enumerate(self.pre_activation_bounds):
-            for unit in range(bounds.size):
-                if splits.is_decided(layer, unit):
-                    continue
-                if bounds.lower[unit] < -tolerance and bounds.upper[unit] > tolerance:
-                    unstable.append((layer, unit))
+            straddles = (bounds.lower < -tolerance) & (bounds.upper > tolerance)
+            for unit in splits.layer_phases(layer, bounds.size):
+                straddles[unit] = False
+            unstable.extend((layer, unit) for unit in np.flatnonzero(straddles).tolist())
         return unstable
 
     @property

@@ -109,7 +109,7 @@ class SplitAssignment:
     def layer_phases(self, layer: int, width: int) -> Dict[int, int]:
         """Decided phases restricted to one layer: ``{unit: phase}``."""
         return {unit: phase for (lay, unit), phase in self._phases.items()
-                if lay == layer and unit < width}
+                if lay == layer and 0 <= unit < width}
 
     def canonical_key(self) -> Tuple[Tuple[int, int, int], ...]:
         """A hashable canonical form: sorted ``(layer, unit, phase)`` triples.

@@ -60,6 +60,7 @@ from scipy import optimize, sparse
 
 from repro.bounds.cache import LpCache
 from repro.bounds.deeppoly import DeepPolyAnalyzer
+from repro.bounds.linear_form import ScalarBounds
 from repro.bounds.report import BoundReport
 from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment
 from repro.nn.network import LoweredNetwork, Network
@@ -89,9 +90,6 @@ class _Encoding:
     def x_slice(self) -> slice:
         return slice(0, self.num_inputs)
 
-    def h_index(self, layer: int, unit: int) -> int:
-        return self.hidden_offsets[layer] + unit
-
 
 def _build_encoding(network: LoweredNetwork, unstable: Sequence[Tuple[int, int]],
                     with_binaries: bool) -> _Encoding:
@@ -110,67 +108,27 @@ def _build_encoding(network: LoweredNetwork, unstable: Sequence[Tuple[int, int]]
                      binary_index, cursor)
 
 
-def _phase_of(layer: int, unit: int, report: BoundReport,
-              splits: SplitAssignment) -> int:
-    """Phase of a neuron: +1 active, -1 inactive, 0 unstable."""
-    decided = splits.phase_of(layer, unit)
-    if decided != 0:
-        return decided
+def _layer_phases(layer: int, report: BoundReport, splits: SplitAssignment) -> np.ndarray:
+    """Phase of every neuron of one layer: +1 active, -1 inactive, 0 unstable."""
     bounds = report.pre_activation_bounds[layer]
-    if bounds.lower[unit] >= 0.0:
-        return ACTIVE
-    if bounds.upper[unit] <= 0.0:
-        return INACTIVE
-    return 0
+    implied = np.where(bounds.lower >= 0.0, ACTIVE,
+                       np.where(bounds.upper <= 0.0, INACTIVE, 0))
+    decided = splits.layer_phase_array(layer, len(implied))
+    return np.where(decided != 0, decided, implied)
 
 
-class _ConstraintBuilder:
-    """Accumulates sparse linear constraints ``lb <= A v <= ub``."""
-
-    def __init__(self, num_variables: int) -> None:
-        self.num_variables = num_variables
-        self.rows: List[np.ndarray] = []
-        self.lower: List[float] = []
-        self.upper: List[float] = []
-
-    def add(self, coefficients: dict, lower: float, upper: float) -> None:
-        row = np.zeros(self.num_variables)
-        for index, value in coefficients.items():
-            row[index] += value
-        self.rows.append(row)
-        self.lower.append(lower)
-        self.upper.append(upper)
-
-    def add_affine_row(self, weight_row: np.ndarray, bias: float,
-                       previous_offset: Optional[int], encoding: _Encoding,
-                       extra: dict, lower: float, upper: float) -> None:
-        """Add a constraint ``lower <= w·h_prev + bias + extra·v <= upper``."""
-        coefficients = dict(extra)
-        if previous_offset is None:
-            for index, value in enumerate(weight_row):
-                if value != 0.0:
-                    coefficients[index] = coefficients.get(index, 0.0) + value
-        else:
-            for index, value in enumerate(weight_row):
-                if value != 0.0:
-                    key = previous_offset + index
-                    coefficients[key] = coefficients.get(key, 0.0) + value
-        self.add(coefficients, lower - bias, upper - bias)
-
-    def to_constraint(self) -> Optional[optimize.LinearConstraint]:
-        if not self.rows:
-            return None
-        matrix = sparse.csr_matrix(np.vstack(self.rows))
-        return optimize.LinearConstraint(matrix, np.asarray(self.lower),
-                                         np.asarray(self.upper))
+def _positive_part(values: np.ndarray) -> np.ndarray:
+    """Elementwise ``max(0.0, value)``, with Python's ``max`` semantics."""
+    return np.where(values > 0.0, values, 0.0)
 
 
 def _encode_problem(network: LoweredNetwork, box: InputBox, report: BoundReport,
                     splits: SplitAssignment, with_binaries: bool
-                    ) -> Tuple[_Encoding, _ConstraintBuilder, np.ndarray, np.ndarray, bool]:
+                    ) -> Tuple[_Encoding, Optional[optimize.LinearConstraint],
+                               np.ndarray, np.ndarray, bool]:
     """Build the constraint system shared by the MILP and leaf LP.
 
-    Returns ``(encoding, builder, var_lower, var_upper, has_unstable)``.
+    Returns ``(encoding, constraints, var_lower, var_upper, has_unstable)``.
     When ``with_binaries`` is False every neuron must already be phase
     decided; an unstable neuron then raises ``ValueError``.
     """
@@ -178,56 +136,51 @@ def _encode_problem(network: LoweredNetwork, box: InputBox, report: BoundReport,
     if not with_binaries and unstable:
         raise ValueError("leaf LP requires every ReLU neuron to be phase-decided")
     encoding = _build_encoding(network, unstable, with_binaries)
-    builder = _ConstraintBuilder(encoding.num_variables)
 
     var_lower = np.full(encoding.num_variables, -np.inf)
     var_upper = np.full(encoding.num_variables, np.inf)
     var_lower[:encoding.num_inputs] = box.lower
     var_upper[:encoding.num_inputs] = box.upper
 
-    infinity = float("inf")
+    blocks = []
     for layer, size in enumerate(encoding.hidden_sizes):
-        previous_offset = None if layer == 0 else encoding.hidden_offsets[layer - 1]
-        weight = network.weights[layer]
-        bias = network.biases[layer]
         bounds = report.pre_activation_bounds[layer]
-        for unit in range(size):
-            h_index = encoding.h_index(layer, unit)
-            lower_z = float(bounds.lower[unit])
-            upper_z = float(bounds.upper[unit])
-            phase = _phase_of(layer, unit, report, splits)
-            if phase == ACTIVE:
-                # h = z, z >= 0
-                var_lower[h_index] = max(0.0, lower_z)
-                var_upper[h_index] = max(0.0, upper_z)
-                builder.add_affine_row(weight[unit], float(bias[unit]), previous_offset,
-                                       encoding, {h_index: -1.0}, 0.0, 0.0)
-                builder.add_affine_row(weight[unit], float(bias[unit]), previous_offset,
-                                       encoding, {}, 0.0, infinity)
-            elif phase == INACTIVE:
-                # h = 0, z <= 0
-                var_lower[h_index] = 0.0
-                var_upper[h_index] = 0.0
-                builder.add_affine_row(weight[unit], float(bias[unit]), previous_offset,
-                                       encoding, {}, -infinity, 0.0)
-            else:
-                # Unstable neuron with binary indicator a:
-                #   h >= 0, h >= z, h <= z - l (1 - a), h <= u a
-                a_index = encoding.binary_index[(layer, unit)]
-                var_lower[h_index] = 0.0
-                var_upper[h_index] = max(0.0, upper_z)
-                var_lower[a_index] = 0.0
-                var_upper[a_index] = 1.0
-                # h - z >= 0
-                builder.add_affine_row(-weight[unit], -float(bias[unit]), previous_offset,
-                                       encoding, {h_index: 1.0}, 0.0, infinity)
-                # h - z - l a <= -l   (h <= z - l + l a)
-                builder.add_affine_row(-weight[unit], -float(bias[unit]), previous_offset,
-                                       encoding, {h_index: 1.0, a_index: -lower_z},
-                                       -infinity, -lower_z)
-                # h - u a <= 0
-                builder.add({h_index: 1.0, a_index: -upper_z}, -infinity, 0.0)
-    return encoding, builder, var_lower, var_upper, bool(unstable)
+        phases = _layer_phases(layer, report, splits)
+        offset = encoding.hidden_offsets[layer]
+        # ACTIVE: h in [max(0, l), max(0, u)]; INACTIVE: h = 0; unstable:
+        # h in [0, max(0, u)] and its binary indicator in [0, 1].
+        var_lower[offset:offset + size] = np.where(phases == ACTIVE,
+                                                   _positive_part(bounds.lower), 0.0)
+        var_upper[offset:offset + size] = np.where(phases == INACTIVE, 0.0,
+                                                   _positive_part(bounds.upper))
+        for unit in np.flatnonzero(phases == 0):
+            a_index = encoding.binary_index[(layer, int(unit))]
+            var_lower[a_index] = 0.0
+            var_upper[a_index] = 1.0
+        blocks.append(_layer_row_block(network, encoding, layer, phases, bounds))
+    constraints = _row_constraint(*_stack_row_blocks(blocks))
+    return encoding, constraints, var_lower, var_upper, bool(unstable)
+
+
+def _stack_row_blocks(blocks: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+                      ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray],
+                                 Optional[np.ndarray]]:
+    """Per-layer ``(matrix, lower, upper)`` row blocks stacked into one
+    system, or three ``None`` when the blocks hold no row."""
+    if not sum(len(block[0]) for block in blocks):
+        return None, None, None
+    return (np.vstack([block[0] for block in blocks]),
+            np.concatenate([block[1] for block in blocks]),
+            np.concatenate([block[2] for block in blocks]))
+
+
+def _row_constraint(row_matrix: Optional[np.ndarray], row_lower: Optional[np.ndarray],
+                    row_upper: Optional[np.ndarray]
+                    ) -> Optional[optimize.LinearConstraint]:
+    """The solver constraint ``row_lower <= row_matrix v <= row_upper``."""
+    if row_matrix is None:
+        return None
+    return optimize.LinearConstraint(sparse.csr_matrix(row_matrix), row_lower, row_upper)
 
 
 def _objective_vector(network: LoweredNetwork, spec_row: np.ndarray,
@@ -346,47 +299,87 @@ def _leaf_phase_signature(network: LoweredNetwork, report: BoundReport,
     only defined for fully phase-decided sub-problems.
     """
     signature = []
-    for layer, size in enumerate(network.relu_layer_sizes()):
-        phases = []
-        for unit in range(size):
-            phase = _phase_of(layer, unit, report, splits)
-            if phase == 0:
-                raise ValueError("leaf LP requires every ReLU neuron to be phase-decided")
-            phases.append(phase)
-        signature.append(tuple(phases))
+    for layer in range(network.num_relu_layers):
+        phases = _layer_phases(layer, report, splits)
+        if not phases.all():
+            raise ValueError("leaf LP requires every ReLU neuron to be phase-decided")
+        signature.append(tuple(phases.tolist()))
     return tuple(signature)
 
 
 def _layer_row_block(network: LoweredNetwork, encoding: _Encoding, layer: int,
-                     phases: Tuple[int, ...]
+                     phases: Sequence[int], bounds: Optional[ScalarBounds] = None
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The leaf-LP constraint rows contributed by one hidden layer.
+    """The constraint rows ``(matrix, lower, upper)`` of one hidden layer.
 
-    For decided leaves the rows depend only on the layer's phase pattern
-    (ACTIVE: ``h = z`` and ``z >= 0``; INACTIVE: ``z <= 0``), never on the
-    leaf's bound report — which is what lets a batch share row blocks across
-    leaves that agree on the layer.
+    Units contribute rows in unit order, each row ``lower <= w.h_prev + b +
+    ... <= upper`` stored with the bias moved into the bounds:
+
+    * ACTIVE: ``h = z``, then ``z >= 0``;
+    * INACTIVE: ``z <= 0``;
+    * unstable (phase 0, MILP only), with binary ``a`` and the pre-activation
+      ``bounds`` ``[l, u]``: ``h >= z``, ``h <= z - l (1 - a)``, ``h <= u a``.
+
+    Every weight row is written by array slicing.  For decided leaves the
+    rows depend only on the layer's phase pattern, never on the leaf's bound
+    report — which is what lets a batch share row blocks across leaves that
+    agree on the layer.
     """
-    builder = _ConstraintBuilder(encoding.num_variables)
-    previous_offset = None if layer == 0 else encoding.hidden_offsets[layer - 1]
+    phases = np.asarray(phases)
     weight = network.weights[layer]
-    bias = network.biases[layer]
-    infinity = float("inf")
-    for unit, phase in enumerate(phases):
-        h_index = encoding.h_index(layer, unit)
-        if phase == ACTIVE:
-            builder.add_affine_row(weight[unit], float(bias[unit]), previous_offset,
-                                   encoding, {h_index: -1.0}, 0.0, 0.0)
-            builder.add_affine_row(weight[unit], float(bias[unit]), previous_offset,
-                                   encoding, {}, 0.0, infinity)
-        else:
-            builder.add_affine_row(weight[unit], float(bias[unit]), previous_offset,
-                                   encoding, {}, -infinity, 0.0)
-    if not builder.rows:
-        empty = np.zeros((0, encoding.num_variables))
-        return empty, np.zeros(0), np.zeros(0)
-    return (np.vstack(builder.rows), np.asarray(builder.lower),
-            np.asarray(builder.upper))
+    bias = np.asarray(network.biases[layer], dtype=float)
+    first = encoding.hidden_offsets[layer - 1] if layer else 0
+    previous = slice(first, first + weight.shape[1])
+    h_columns = encoding.hidden_offsets[layer] + np.arange(len(phases))
+    active = phases == ACTIVE
+    inactive = phases == INACTIVE
+    unstable = ~(active | inactive)
+    counts = np.where(active, 2, np.where(inactive, 1, 3))
+    starts = np.cumsum(counts) - counts
+    matrix = np.zeros((int(counts.sum()), encoding.num_variables))
+    lower = np.empty(len(matrix))
+    upper = np.empty(len(matrix))
+
+    # Bounds are ``bound - bias`` as for a single row, so that even the
+    # signed zeros of ``0.0 - bias`` match the row-by-row encoding.
+    rows = starts[active]
+    active_bias = bias[active]
+    matrix[rows, previous] = weight[active]
+    matrix[rows, h_columns[active]] = -1.0
+    lower[rows] = 0.0 - active_bias
+    upper[rows] = 0.0 - active_bias
+    matrix[rows + 1, previous] = weight[active]
+    lower[rows + 1] = 0.0 - active_bias
+    upper[rows + 1] = np.inf - active_bias
+
+    rows = starts[inactive]
+    matrix[rows, previous] = weight[inactive]
+    lower[rows] = -np.inf - bias[inactive]
+    upper[rows] = 0.0 - bias[inactive]
+
+    if unstable.any():
+        rows = starts[unstable]
+        a_columns = [encoding.binary_index[(layer, int(unit))]
+                     for unit in np.flatnonzero(unstable)]
+        lower_z = bounds.lower[unstable]
+        upper_z = bounds.upper[unstable]
+        negated_bias = -bias[unstable]
+        for offset in range(3):
+            matrix[rows + offset, h_columns[unstable]] = 1.0
+        # h - z >= 0
+        matrix[rows, previous] = -weight[unstable]
+        lower[rows] = 0.0 - negated_bias
+        upper[rows] = np.inf - negated_bias
+        # h - z - l a <= -l   (h <= z - l + l a)
+        matrix[rows + 1, previous] = -weight[unstable]
+        matrix[rows + 1, a_columns] = -lower_z
+        lower[rows + 1] = -np.inf - negated_bias
+        upper[rows + 1] = -lower_z - negated_bias
+        # h - u a <= 0
+        matrix[rows + 2, a_columns] = -upper_z
+        lower[rows + 2] = -np.inf
+        upper[rows + 2] = 0.0
+    return matrix, lower, upper
 
 
 def _leaf_variable_bounds(box: InputBox, report: BoundReport,
@@ -399,14 +392,10 @@ def _leaf_variable_bounds(box: InputBox, report: BoundReport,
     var_upper[:encoding.num_inputs] = box.upper
     for layer, phases in enumerate(signature):
         bounds = report.pre_activation_bounds[layer]
-        for unit, phase in enumerate(phases):
-            h_index = encoding.h_index(layer, unit)
-            if phase == ACTIVE:
-                var_lower[h_index] = max(0.0, float(bounds.lower[unit]))
-                var_upper[h_index] = max(0.0, float(bounds.upper[unit]))
-            else:
-                var_lower[h_index] = 0.0
-                var_upper[h_index] = 0.0
+        active = np.asarray(phases) == ACTIVE
+        offset = encoding.hidden_offsets[layer]
+        var_lower[offset:offset + len(phases)] = np.where(active, _positive_part(bounds.lower), 0.0)
+        var_upper[offset:offset + len(phases)] = np.where(active, _positive_part(bounds.upper), 0.0)
     return var_lower, var_upper
 
 
@@ -478,11 +467,8 @@ def _minimise_rows_stacked(objectives: List[Tuple[np.ndarray, float]],
     """
     num_rows = len(objectives)
     if num_rows == 1:
-        constraints = None
-        if row_matrix is not None:
-            constraints = optimize.LinearConstraint(
-                sparse.csr_matrix(row_matrix), row_lower, row_upper)
         objective, constant = objectives[0]
+        constraints = _row_constraint(row_matrix, row_lower, row_upper)
         return _solve(objective, constant, constraints, var_lower, var_upper,
                       np.zeros(encoding.num_variables), encoding, time_limit)
 
@@ -630,14 +616,7 @@ def solve_leaf_lp_batch(network: LoweredNetwork, box: InputBox,
                     block = _layer_row_block(network, encoding, layer, phases)
                     row_blocks[block_key] = block
                 blocks.append(block)
-            if blocks and sum(block[0].shape[0] for block in blocks):
-                row_matrix = np.vstack([block[0] for block in blocks])
-                row_lower = np.concatenate([block[1] for block in blocks])
-                row_upper = np.concatenate([block[2] for block in blocks])
-            else:
-                row_matrix = None
-                row_lower = None
-                row_upper = None
+            row_matrix, row_lower, row_upper = _stack_row_blocks(blocks)
             var_lower, var_upper = _leaf_variable_bounds(box, report,
                                                          signature, encoding)
             with _lp_measure(timings):
@@ -655,10 +634,7 @@ def solve_leaf_lp_batch(network: LoweredNetwork, box: InputBox,
                             and optimum.value < 0.0):
                         optimum = None
                 if optimum is None:
-                    constraints = None
-                    if row_matrix is not None:
-                        constraints = optimize.LinearConstraint(
-                            sparse.csr_matrix(row_matrix), row_lower, row_upper)
+                    constraints = _row_constraint(row_matrix, row_lower, row_upper)
                     optimum = _minimise_rows(objectives, constraints,
                                              var_lower, var_upper, integrality,
                                              encoding, time_limit)
@@ -751,9 +727,8 @@ class MilpVerifier(Verifier):
                                       bound=float(report.p_hat))
 
         splits = SplitAssignment.empty()
-        encoding, builder, var_lower, var_upper, has_unstable = _encode_problem(
+        encoding, constraints, var_lower, var_upper, has_unstable = _encode_problem(
             lowered, spec.input_box, report, splits, with_binaries=True)
-        constraints = builder.to_constraint()
         integrality = np.zeros(encoding.num_variables)
         for index in encoding.binary_index.values():
             integrality[index] = 1

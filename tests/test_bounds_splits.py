@@ -60,6 +60,13 @@ class TestSplitAssignment:
         assignment = SplitAssignment.from_splits([ReluSplit(0, 7, ACTIVE)])
         assert assignment.layer_phases(0, 5) == {}
 
+    def test_layer_phases_ignore_negative_units(self):
+        """A raw mapping may hold a negative unit; like an index past the
+        width, it names no neuron and must not wrap around to the last one."""
+        assignment = SplitAssignment({(0, -1): ACTIVE, (0, 1): INACTIVE})
+        assert assignment.layer_phases(0, 3) == {1: INACTIVE}
+        assert assignment.layer_phase_array(0, 3).tolist() == [0, INACTIVE, 0]
+
     def test_equality_and_hash(self):
         a = SplitAssignment.from_splits([ReluSplit(0, 1, ACTIVE), ReluSplit(1, 2, INACTIVE)])
         b = SplitAssignment.from_splits([ReluSplit(1, 2, INACTIVE), ReluSplit(0, 1, ACTIVE)])
