@@ -54,7 +54,8 @@ decided before the exact stage, and the net per-child bound time cascade
 on vs. off.
 
 Results are printed as JSON and written to
-``benchmarks/output/BENCH_batching.json`` so future runs can track the
+``benchmarks/output/BENCH_batching.json`` (smoke runs:
+``BENCH_batching_smoke.json``) so future runs can track the
 speedup; a stable top-level ``summary`` block (median per-child bound
 times, LP solves, cache hit rates) feeds
 ``tools/check_bench_regression.py``, which CI runs against the committed
@@ -85,7 +86,12 @@ from repro.utils.timing import Budget
 from repro.verifiers.appver import ApproximateVerifier, CascadeConfig
 from repro.verifiers.milp import solve_leaf_lp, solve_leaf_lp_batch
 
-OUTPUT_PATH = Path(__file__).resolve().parent / "output" / "BENCH_batching.json"
+OUTPUT_DIR = Path(__file__).resolve().parent / "output"
+
+
+def output_path(smoke: bool) -> Path:
+    """Where a run writes its JSON: a smoke run never overwrites a full run."""
+    return OUTPUT_DIR / ("BENCH_batching_smoke.json" if smoke else "BENCH_batching.json")
 
 FULL_FAMILIES = ("MNIST_L2", "MNIST_L4", "CIFAR_BASE", "CIFAR_DEEP")
 SMOKE_FAMILIES = ("MNIST_L2",)
@@ -768,8 +774,9 @@ def main(argv=None) -> int:
 
     text = json.dumps(payload, indent=2)
     print(text)
-    OUTPUT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    OUTPUT_PATH.write_text(text + "\n")
+    path = output_path(smoke)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n")
     return 0
 
 

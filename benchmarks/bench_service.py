@@ -36,7 +36,8 @@ Job priorities are drawn from a per-job RNG seeded by the job *index*
 replayable bit-for-bit no matter what other code touched ``np.random``.
 
 Results are printed as JSON and written to
-``benchmarks/output/BENCH_service.json``; the stable top-level ``summary``
+``benchmarks/output/BENCH_service.json`` (smoke runs:
+``BENCH_service_smoke.json``); the stable top-level ``summary``
 block feeds ``tools/check_bench_regression.py`` against the committed
 baseline.  Smoke mode (``REPRO_BENCH_SMOKE=1`` or ``--smoke``) shrinks the
 workload for CI.
@@ -68,7 +69,12 @@ from repro.specs.robustness import local_robustness_spec
 from repro.utils.timing import Budget
 from repro.verifiers.appver import ApproximateVerifier
 
-OUTPUT_PATH = Path(__file__).resolve().parent / "output" / "BENCH_service.json"
+OUTPUT_DIR = Path(__file__).resolve().parent / "output"
+
+
+def output_path(smoke: bool) -> Path:
+    """Where a run writes its JSON: a smoke run never overwrites a full run."""
+    return OUTPUT_DIR / ("BENCH_service_smoke.json" if smoke else "BENCH_service.json")
 
 FULL_FAMILIES = ("MNIST_L2", "MNIST_L4")
 SMOKE_FAMILIES = ("MNIST_L2",)
@@ -406,8 +412,9 @@ def main(argv=None) -> int:
 
     text = json.dumps(payload, indent=2)
     print(text)
-    OUTPUT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    OUTPUT_PATH.write_text(text + "\n")
+    path = output_path(smoke)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n")
     return 0
 
 

@@ -25,6 +25,19 @@ Two execution modes are provided:
   relaxation slopes/intercepts, batched matmuls against the shared weights,
   vectorised concretisation over the shared input box).
 
+The batched kernel is *two-sided*: the minimising and maximising
+substitutions of an expression run as one stacked pass, lower forms in
+slots ``[0, B)`` and upper forms in ``[B, 2B)`` of one ``(2B, rows,
+width)`` array, so each layer step costs one clip pair, one bias product
+and one weight GEMM for both directions.  Every batched expression starts
+from a matrix the whole batch shares — a hidden weight, or the fused
+output-plus-spec rows — whose sign split is precomputed: once per analyzer
+for the weights, once per spec for the top rows.  The kernel agrees with
+running the two directions as separate passes to 1e-12 (it is not
+byte-equal: BLAS rounds a row according to its position in the GEMM), and
+batched results match :meth:`~DeepPolyAnalyzer.analyze` within 1e-9 as
+before.
+
 A third, *relaxed* mode (:meth:`DeepPolyAnalyzer.analyze_batch_relaxed`)
 backs the precision cascade's prefilter stage: it freezes the parent's
 cached relaxations at every layer (correcting only the decided neuron's
@@ -164,6 +177,40 @@ class DeepPolyAnalyzer:
 
     def __init__(self, network: LoweredNetwork) -> None:
         self.network = network
+        # Sign parts of every weight a batched pass starts a substitution
+        # from.  Layer 0's expression is already over the input and is
+        # concretised directly, so it needs none.
+        self._weight_signs: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] + [
+            (np.maximum(weight, 0.0), np.minimum(weight, 0.0))
+            for weight in network.weights[1:]]
+        # The fused top rows of the last spec seen, as ``(spec, rows)``.
+        self._top_memo: Optional[Tuple[LinearOutputSpec, tuple]] = None
+
+    def _top_rows(self, spec: Optional[LinearOutputSpec]) -> tuple:
+        """The fused output-plus-spec rows every batched pass ends with.
+
+        The output-bound and specification rows share every relaxation, so
+        one backward pass bounds both; the spec rows follow the
+        ``output_dim`` output rows.  Returns ``(coefficients, constants,
+        signs)``, built once per spec: the memo is keyed by the spec object
+        and its value depends on nothing else, so rebuilding it is harmless.
+        """
+        network = self.network
+        if spec is None:
+            return network.weights[-1], network.biases[-1], self._weight_signs[-1]
+        memo = self._top_memo
+        if memo is not None and memo[0] is spec:
+            return memo[1]
+        require(spec.output_dim == network.output_dim,
+                "specification output dimension does not match the network")
+        coefficients = np.vstack([network.weights[-1],
+                                  spec.coefficients @ network.weights[-1]])
+        constants = np.concatenate([network.biases[-1],
+                                    spec.coefficients @ network.biases[-1] + spec.offsets])
+        rows = (coefficients, constants,
+                (np.maximum(coefficients, 0.0), np.minimum(coefficients, 0.0)))
+        self._top_memo = (spec, rows)
+        return rows
 
     # -- backward substitution ------------------------------------------------
     def _substitute_to_input(self, coefficients: np.ndarray, constants: np.ndarray,
@@ -218,59 +265,80 @@ class DeepPolyAnalyzer:
                 AffineForms(lower_A, lower_c, upper_A, upper_c))
 
     # -- batched backward substitution ----------------------------------------
-    def _substitute_to_input_batch(self, coefficients: np.ndarray, constants: np.ndarray,
-                                   last_hidden: int,
-                                   lower_slopes: Sequence[np.ndarray],
-                                   upper_slopes: Sequence[np.ndarray],
-                                   upper_intercepts: Sequence[np.ndarray],
-                                   minimize: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`_substitute_to_input`.
-
-        ``coefficients`` has shape ``(B, rows, width)`` and ``constants``
-        ``(B, rows)``; the relaxation sequences hold one ``(B, width_layer)``
-        array per hidden layer up to ``last_hidden``.
-        """
-        A = np.asarray(coefficients, dtype=float)
-        c = np.asarray(constants, dtype=float)
-        batch, rows = A.shape[0], A.shape[1]
-        for layer in range(last_hidden, -1, -1):
-            ls = lower_slopes[layer][:, None, :]
-            us = upper_slopes[layer][:, None, :]
-            ui = upper_intercepts[layer]
-            positive = np.clip(A, 0.0, None)
-            negative = np.clip(A, None, 0.0)
-            if minimize:
-                new_A = positive * ls + negative * us
-                c = c + np.matmul(negative, ui[:, :, None])[..., 0]
-            else:
-                new_A = positive * us + negative * ls
-                c = c + np.matmul(positive, ui[:, :, None])[..., 0]
-            A = new_A
-            weight = self.network.weights[layer]
-            bias = self.network.biases[layer]
-            # Flatten the batch axis so the whole batch runs through one GEMM
-            # instead of a C-level loop of per-element matmuls.
-            flat = A.reshape(batch * rows, A.shape[2])
-            c = c + (flat @ bias).reshape(batch, rows)
-            A = (flat @ weight).reshape(batch, rows, weight.shape[1])
-        return A, c
-
     def _bound_expression_batch(self, coefficients: np.ndarray, constants: np.ndarray,
-                                last_hidden: int,
+                                signs: Optional[Tuple[np.ndarray, np.ndarray]],
+                                batch: int, last_hidden: int,
                                 lower_slopes: Sequence[np.ndarray],
                                 upper_slopes: Sequence[np.ndarray],
                                 upper_intercepts: Sequence[np.ndarray],
                                 box: InputBox,
                                 timings: Optional[PhaseTimings] = None
                                 ) -> Tuple[np.ndarray, np.ndarray, BatchedAffineForms]:
-        """Batched :meth:`_bound_expression`; returns ``(B, rows)`` bound arrays."""
+        """Batched :meth:`_bound_expression` of one expression shared by a batch.
+
+        ``coefficients`` ``(rows, width)`` and ``constants`` ``(rows,)`` are
+        common to all ``batch`` sub-problems, which differ only in their
+        relaxations: one ``(batch, width_layer)`` array per hidden layer up
+        to ``last_hidden``.  ``signs`` holds the coefficients' positive and
+        negative parts, precomputed by the caller (unused, and may be
+        ``None``, when ``last_hidden = -1``).  Returns ``(batch, rows)``
+        lower and upper bound arrays plus the input-level forms.
+
+        The minimising and maximising substitutions run as one two-sided
+        stack: lower forms in slots ``[0, batch)`` and upper forms in
+        ``[batch, 2·batch)`` of one ``(2·batch, rows, width)`` array.  A
+        step clips the whole stack once, scales positive parts by the
+        stacked slopes ``(lower, upper)`` and negative parts by ``(upper,
+        lower)``, adds the intercepts of the lower half's negative and the
+        upper half's positive part, and substitutes the affine layer with
+        one bias product and one weight GEMM over all ``2·batch·rows`` rows.
+        """
+        if last_hidden < 0:
+            # Already over the input: every sub-problem has the same form.
+            with _measure(timings, "concretize"):
+                lower = concretize_lower(coefficients, constants, box)
+                upper = concretize_upper(coefficients, constants, box)
+            A = np.repeat(coefficients[None], batch, axis=0)
+            c = np.repeat(constants[None], batch, axis=0)
+            return (np.repeat(lower[None], batch, axis=0),
+                    np.repeat(upper[None], batch, axis=0),
+                    BatchedAffineForms(A, c, A, c))
+        count = 2 * batch
+        rows = coefficients.shape[0]
+        positive, negative = signs
         with _measure(timings, "substitute"):
-            lower_A, lower_c = self._substitute_to_input_batch(
-                coefficients, constants, last_hidden,
-                lower_slopes, upper_slopes, upper_intercepts, minimize=True)
-            upper_A, upper_c = self._substitute_to_input_batch(
-                coefficients, constants, last_hidden,
-                lower_slopes, upper_slopes, upper_intercepts, minimize=False)
+            A = None
+            c = np.empty((count, rows))
+            for layer in range(last_hidden, -1, -1):
+                ui = upper_intercepts[layer]
+                # Positive parts take slopes (lower | upper), negative parts
+                # (upper | lower): both are views of one concatenation.
+                slopes = np.concatenate((lower_slopes[layer], upper_slopes[layer],
+                                         lower_slopes[layer]))
+                on_positive = slopes[:count, None, :]
+                on_negative = slopes[batch:, None, :]
+                if A is None:
+                    # First step: the shared matrix's precomputed sign parts.
+                    c[:batch] = constants + ui @ negative.T
+                    c[batch:] = constants + ui @ positive.T
+                    A = positive * on_positive
+                    A += negative * on_negative
+                else:
+                    positive = np.maximum(A, 0.0)
+                    negative = np.minimum(A, 0.0)
+                    c[:batch] += np.matmul(negative[:batch], ui[:, :, None])[..., 0]
+                    c[batch:] += np.matmul(positive[batch:], ui[:, :, None])[..., 0]
+                    positive *= on_positive
+                    negative *= on_negative
+                    A = positive
+                    A += negative
+                # Substitute z = W h_{layer-1} + b for the whole stack at once.
+                weight = self.network.weights[layer]
+                flat = A.reshape(count * rows, A.shape[2])
+                c += (flat @ self.network.biases[layer]).reshape(count, rows)
+                A = (flat @ weight).reshape(count, rows, weight.shape[1])
+        lower_A, upper_A = A[:batch], A[batch:]
+        lower_c, upper_c = c[:batch], c[batch:]
         with _measure(timings, "concretize"):
             lower = concretize_lower_batch(lower_A, lower_c, box)
             upper = concretize_upper_batch(upper_A, upper_c, box)
@@ -700,14 +768,13 @@ class DeepPolyAnalyzer:
 
             if miss:
                 idx = np.asarray(miss, dtype=int)
-                coefficients = np.broadcast_to(weight, (len(miss),) + weight.shape)
-                constants = np.broadcast_to(bias, (len(miss), bias.shape[0]))
+                relaxations = (relax_lower_slopes, relax_upper_slopes,
+                               relax_upper_intercepts)
+                if len(miss) < count:
+                    relaxations = [[a[idx] for a in stack] for stack in relaxations]
                 miss_lower, miss_upper, _ = self._bound_expression_batch(
-                    coefficients, constants, layer - 1,
-                    [a[idx] for a in relax_lower_slopes],
-                    [a[idx] for a in relax_upper_slopes],
-                    [a[idx] for a in relax_upper_intercepts], box,
-                    timings=timings)
+                    weight, bias, self._weight_signs[layer], len(miss), layer - 1,
+                    *relaxations, box, timings=timings)
                 if incremental:
                     # Away from its split layer a child's decided phases are
                     # exactly its parent's, so the rows of the clip mask can
@@ -762,26 +829,13 @@ class DeepPolyAnalyzer:
             relax_upper_slopes.append(us)
             relax_upper_intercepts.append(ui)
 
-        # The output-bound and specification rows share every relaxation, so
-        # one fused backward pass bounds both (the spec rows are sliced off
-        # the stacked result afterwards).
+        # One fused backward pass bounds the output and specification rows
+        # (the spec rows are sliced off the stacked result afterwards).
         last_hidden = network.num_relu_layers - 1
         num_outputs = network.biases[-1].shape[0]
-        top_coefficients = network.weights[-1]
-        top_constants = network.biases[-1]
-        if spec is not None:
-            require(spec.output_dim == network.output_dim,
-                    "specification output dimension does not match the network")
-            top_coefficients = np.vstack([top_coefficients,
-                                          spec.coefficients @ network.weights[-1]])
-            top_constants = np.concatenate([
-                top_constants,
-                spec.coefficients @ network.biases[-1] + spec.offsets])
         top_lower, top_upper, top_forms = self._bound_expression_batch(
-            np.broadcast_to(top_coefficients, (count,) + top_coefficients.shape),
-            np.broadcast_to(top_constants, (count,) + top_constants.shape),
-            last_hidden, relax_lower_slopes, relax_upper_slopes,
-            relax_upper_intercepts, box, timings=timings)
+            *self._top_rows(spec), count, last_hidden, relax_lower_slopes,
+            relax_upper_slopes, relax_upper_intercepts, box, timings=timings)
         output_lower = top_lower[:, :num_outputs]
         output_upper = top_upper[:, :num_outputs]
 
@@ -959,20 +1013,9 @@ class DeepPolyAnalyzer:
         # in :meth:`analyze_batch`.
         last_hidden = num_layers - 1
         num_outputs = network.biases[-1].shape[0]
-        top_coefficients = network.weights[-1]
-        top_constants = network.biases[-1]
-        if spec is not None:
-            require(spec.output_dim == network.output_dim,
-                    "specification output dimension does not match the network")
-            top_coefficients = np.vstack([top_coefficients,
-                                          spec.coefficients @ network.weights[-1]])
-            top_constants = np.concatenate([
-                top_constants,
-                spec.coefficients @ network.biases[-1] + spec.offsets])
         top_lower, top_upper, top_forms = self._bound_expression_batch(
-            np.broadcast_to(top_coefficients, (count,) + top_coefficients.shape),
-            np.broadcast_to(top_constants, (count,) + top_constants.shape),
-            last_hidden, relax_ls, relax_us, relax_ui, box, timings=timings)
+            *self._top_rows(spec), count, last_hidden, relax_ls, relax_us,
+            relax_ui, box, timings=timings)
         output_lower = top_lower[:, :num_outputs]
         output_upper = top_upper[:, :num_outputs]
 

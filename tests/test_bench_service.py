@@ -6,6 +6,9 @@ numpy's global RNG.  A threaded bench run interleaves jobs
 nondeterministically, so any dependence on global state would make two runs
 draw different priorities and the transport comparison unreproducible.
 These tests pin that rule without running the (slow) benchmark itself.
+
+Both this bench and ``benchmarks/bench_batching.py`` also keep smoke and
+full runs apart: a smoke run writes its own ``*_smoke.json``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 _BENCH_PATH = (Path(__file__).resolve().parent.parent
                / "benchmarks" / "bench_service.py")
@@ -22,6 +26,12 @@ _spec = importlib.util.spec_from_file_location("bench_service", _BENCH_PATH)
 bench_service = importlib.util.module_from_spec(_spec)
 sys.modules.setdefault("bench_service", bench_service)
 _spec.loader.exec_module(bench_service)
+
+_BATCHING_PATH = _BENCH_PATH.parent / "bench_batching.py"
+_batching_spec = importlib.util.spec_from_file_location("bench_batching", _BATCHING_PATH)
+bench_batching = importlib.util.module_from_spec(_batching_spec)
+sys.modules.setdefault("bench_batching", bench_batching)
+_batching_spec.loader.exec_module(bench_batching)
 
 
 class TestJobRng:
@@ -73,3 +83,14 @@ class TestTransportWorkload:
         for index, job in enumerate(jobs):
             expected = int(bench_service._job_rng(index).integers(0, 5))
             assert job["priority"] == expected
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("bench, stem", [(bench_service, "BENCH_service"),
+                                             (bench_batching, "BENCH_batching")])
+    def test_smoke_run_never_writes_the_full_run_file(self, bench, stem):
+        full = bench.output_path(smoke=False)
+        smoke = bench.output_path(smoke=True)
+        assert full.name == f"{stem}.json"
+        assert smoke.name == f"{stem}_smoke.json"
+        assert smoke.parent == full.parent

@@ -3,15 +3,25 @@
 ``ApproximateVerifier.evaluate_batch`` must reproduce sequential
 ``evaluate`` results to 1e-9 — for batch sizes 1, 2 and 17, with and
 without warmed cache prefixes, and including infeasible-split reports.
+
+The two-sided batched DeepPoly kernel is also checked against an
+independent oracle: a test-local copy of the one-direction batched
+substitution it replaced, run once per direction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.bounds.linear_form import BatchedLinearForm, LinearForm
+from repro import AbonnVerifier, Budget, dense_network
+from repro.bounds.deeppoly import DeepPolyAnalyzer
+from repro.bounds.linear_form import BatchedAffineForms, BatchedLinearForm, LinearForm
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
+from repro.nn.network import LoweredNetwork
+from repro.specs.properties import InputBox, LinearOutputSpec
 from repro.specs.robustness import local_robustness_spec
 from repro.verifiers.appver import ApproximateVerifier
 
@@ -188,3 +198,209 @@ class TestBatchedLinearForm:
             BatchedLinearForm(np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
             BatchedLinearForm(np.zeros((2, 3, 4)), np.zeros((2, 4)))
+
+
+# -- oracle: the one-direction batched substitution, run once per direction --
+
+#: Agreement required between the two-sided kernel and the oracle.
+KERNEL_TOLERANCE = 1e-12
+
+
+def _oracle_substitute(network, coefficients, constants, last_hidden,
+                       lower_slopes, upper_slopes, upper_intercepts, minimize):
+    """``(B, rows, width)`` coefficients rewritten down to the input."""
+    A = np.asarray(coefficients, dtype=float)
+    c = np.asarray(constants, dtype=float)
+    batch, rows = A.shape[0], A.shape[1]
+    for layer in range(last_hidden, -1, -1):
+        ls = lower_slopes[layer][:, None, :]
+        us = upper_slopes[layer][:, None, :]
+        ui = upper_intercepts[layer]
+        positive = np.clip(A, 0.0, None)
+        negative = np.clip(A, None, 0.0)
+        if minimize:
+            new_A = positive * ls + negative * us
+            c = c + np.matmul(negative, ui[:, :, None])[..., 0]
+        else:
+            new_A = positive * us + negative * ls
+            c = c + np.matmul(positive, ui[:, :, None])[..., 0]
+        A = new_A
+        weight = network.weights[layer]
+        flat = A.reshape(batch * rows, A.shape[2])
+        c = c + (flat @ network.biases[layer]).reshape(batch, rows)
+        A = (flat @ weight).reshape(batch, rows, weight.shape[1])
+    return A, c
+
+
+def _oracle_concretize(coefficients, constants, box, minimize):
+    batch, rows, dim = coefficients.shape
+    flat = coefficients.reshape(batch * rows, dim)
+    positive = np.clip(flat, 0.0, None)
+    negative = np.clip(flat, None, 0.0)
+    if minimize:
+        values = positive @ box.lower + negative @ box.upper
+    else:
+        values = positive @ box.upper + negative @ box.lower
+    return values.reshape(batch, rows) + constants
+
+
+def _oracle_bound_expression(network, coefficients, constants, batch, last_hidden,
+                             lower_slopes, upper_slopes, upper_intercepts, box):
+    """The replaced kernel: two independent passes over broadcast inputs."""
+    coefficients = np.broadcast_to(coefficients, (batch,) + coefficients.shape)
+    constants = np.broadcast_to(constants, (batch,) + constants.shape)
+    relaxations = (lower_slopes, upper_slopes, upper_intercepts)
+    lower_A, lower_c = _oracle_substitute(network, coefficients, constants,
+                                          last_hidden, *relaxations, minimize=True)
+    upper_A, upper_c = _oracle_substitute(network, coefficients, constants,
+                                          last_hidden, *relaxations, minimize=False)
+    lower = _oracle_concretize(lower_A, lower_c, box, minimize=True)
+    upper = _oracle_concretize(upper_A, upper_c, box, minimize=False)
+    return lower, upper, BatchedAffineForms(lower_A, lower_c, upper_A, upper_c)
+
+
+def _oracle_kernel(self, coefficients, constants, signs, batch, last_hidden,
+                   lower_slopes, upper_slopes, upper_intercepts, box, timings=None):
+    """Adapter with the analyzer kernel's signature around the oracle."""
+    return _oracle_bound_expression(self.network, coefficients, constants, batch,
+                                    last_hidden, lower_slopes, upper_slopes,
+                                    upper_intercepts, box)
+
+
+def _random_relaxation(rng, batch, width):
+    """Stacked ``(batch, width)`` relaxation rows mixing identity, zero and
+    unstable columns (unstable lower slopes in ``[0, 1]``, as α-CROWN uses)."""
+    kind = rng.integers(0, 3, size=(batch, width))
+    low = -rng.uniform(0.05, 2.0, size=(batch, width))
+    high = rng.uniform(0.05, 2.0, size=(batch, width))
+    slope = high / (high - low)
+    unstable = kind == 2
+    lower_slope = np.where(kind == 0, 1.0,
+                           np.where(unstable, rng.uniform(0.0, 1.0, size=(batch, width)),
+                                    0.0))
+    upper_slope = np.where(kind == 0, 1.0, np.where(unstable, slope, 0.0))
+    upper_intercept = np.where(unstable, -slope * low, 0.0)
+    return lower_slope, upper_slope, upper_intercept
+
+
+def _assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want)
+                  <= KERNEL_TOLERANCE * np.maximum(np.abs(want), 1.0))
+
+
+class TestTwoSidedKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(depth=st.integers(0, 5),
+           batch=st.sampled_from([1, 2, 5]),
+           widths=st.lists(st.sampled_from([1, 3, 5, 7, 9]), min_size=7, max_size=7),
+           spec_rows=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_one_direction_oracle(self, depth, batch, widths, spec_rows, seed):
+        rng = np.random.default_rng(seed)
+        dims = widths[:depth + 2]
+        weights = tuple(rng.standard_normal((dims[i + 1], dims[i])) / np.sqrt(dims[i])
+                        for i in range(depth + 1))
+        biases = tuple(rng.standard_normal(dims[i + 1]) * 0.5 for i in range(depth + 1))
+        network = LoweredNetwork(weights, biases, (dims[0],))
+        lower = rng.uniform(-1.0, 1.0, size=dims[0])
+        box = InputBox(lower, lower + rng.uniform(0.0, 1.0, size=dims[0]))
+        spec = LinearOutputSpec(rng.standard_normal((spec_rows, dims[-1])),
+                                rng.standard_normal(spec_rows))
+        relaxations = [_random_relaxation(rng, batch, dims[layer + 1])
+                       for layer in range(depth)]
+        lower_slopes, upper_slopes, upper_intercepts = (
+            [relaxation[part] for relaxation in relaxations] for part in range(3))
+        analyzer = DeepPolyAnalyzer(network)
+        last_hidden = depth - 1
+        for coefficients, constants, signs in (analyzer._top_rows(spec),
+                                               analyzer._top_rows(None)):
+            got_lower, got_upper, got = analyzer._bound_expression_batch(
+                coefficients, constants, signs, batch, last_hidden,
+                lower_slopes, upper_slopes, upper_intercepts, box)
+            want_lower, want_upper, want = _oracle_bound_expression(
+                network, coefficients, constants, batch, last_hidden,
+                lower_slopes, upper_slopes, upper_intercepts, box)
+            _assert_close(got_lower, want_lower)
+            _assert_close(got_upper, want_upper)
+            for name in ("lower_A", "lower_c", "upper_A", "upper_c"):
+                _assert_close(getattr(got, name), getattr(want, name))
+            # The counterexample corner reads the lower form's signs.
+            decided = np.abs(want.lower_A) > 1e-9
+            assert np.array_equal((got.lower_A > 0)[decided],
+                                  (want.lower_A > 0)[decided])
+
+    def test_verify_identical_with_oracle_kernel(self, monkeypatch, conv_network,
+                                                 trained_network):
+        """Verdicts, node counts and counterexamples do not depend on the kernel.
+
+        The problems are those of ``tests/test_integration.py``.
+        """
+        problems = []
+        for seed in (11, 23, 37):
+            for epsilon in (0.05, 0.2, 0.35):
+                rng = np.random.default_rng(seed)
+                network = dense_network([4, 7, 6, 3], seed=seed)
+                reference = rng.random(4)
+                label = int(network.predict(reference.reshape(1, -1))[0])
+                problems.append((network, local_robustness_spec(reference, epsilon,
+                                                                label, 3)))
+        trained, dataset = trained_network
+        image, label = dataset.sample(33)
+        for epsilon in (0.08, 0.5):
+            problems.append((trained, local_robustness_spec(
+                image.reshape(-1), epsilon, label, dataset.num_classes)))
+        reference = np.full(36, 0.5)
+        label = int(conv_network.predict(reference.reshape(1, 1, 6, 6))[0])
+        problems.append((conv_network, local_robustness_spec(reference, 0.05, label, 3)))
+
+        def outcomes():
+            keys = []
+            for network, spec in problems:
+                result = AbonnVerifier().verify(network, spec, Budget(max_nodes=4000))
+                cex = result.counterexample
+                keys.append((result.status, result.nodes_explored,
+                             None if cex is None
+                             else np.asarray(cex, dtype=float).tobytes()))
+            return keys
+
+        two_sided = outcomes()
+        calls = []
+
+        def counted_oracle(*args, **kwargs):
+            calls.append(1)
+            return _oracle_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(DeepPolyAnalyzer, "_bound_expression_batch", counted_oracle)
+        assert outcomes() == two_sided
+        assert calls, "the batched kernel was never reached"
+
+
+class TestSignSplitsNeverStale:
+    def test_specs_in_sequence_match_fresh_analyzers(self, small_network):
+        lowered = small_network.lowered()
+        problem = local_robustness_spec(np.array([0.45, 0.55, 0.5, 0.4]), 0.12, 0, 3)
+        box, spec_a = problem.input_box, problem.output_spec
+        spec_b = LinearOutputSpec(np.array([[1.0, -0.5, 0.25]]), np.array([0.75]))
+        unstable = DeepPolyAnalyzer(lowered).analyze(box).unstable_neurons()
+        layer, unit = unstable[0]
+        splits_list = [None,
+                       SplitAssignment.from_splits([ReluSplit(layer, unit, ACTIVE)]),
+                       SplitAssignment.from_splits([ReluSplit(layer, unit, INACTIVE)])]
+        shared = DeepPolyAnalyzer(lowered)
+        for spec in (spec_a, spec_b, None):
+            got = shared.analyze_batch(box, splits_list, spec=spec)
+            want = DeepPolyAnalyzer(lowered).analyze_batch(box, splits_list, spec=spec)
+            for got_report, want_report in zip(got, want):
+                assert got_report.p_hat == want_report.p_hat
+                for attribute in ("spec_row_lower", "candidate_input"):
+                    got_value = getattr(got_report, attribute)
+                    want_value = getattr(want_report, attribute)
+                    assert (got_value is None) == (want_value is None)
+                    if want_value is not None:
+                        assert np.array_equal(got_value, want_value)
+                assert np.array_equal(got_report.output_bounds.lower,
+                                      want_report.output_bounds.lower)
+                assert np.array_equal(got_report.output_bounds.upper,
+                                      want_report.output_bounds.upper)

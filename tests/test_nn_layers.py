@@ -129,7 +129,32 @@ class TestReLU:
         assert ReLU().is_relu and not ReLU().is_affine
 
 
+def _np_pad_im2col(layer, x):
+    """Reference im2col that pads with ``np.pad`` (independent of the layer's buffer)."""
+    batch, channels, height, width = x.shape
+    out_h, out_w = layer._spatial_output(height, width)
+    pad = layer.padding
+    x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    k, stride = layer.kernel_size, layer.stride
+    cols = np.empty((batch, channels, k, k, out_h, out_w))
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = x[:, :, i:i + stride * out_h:stride,
+                                 j:j + stride * out_w:stride]
+    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(batch, out_h * out_w, -1)
+
+
 class TestConv2d:
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_im2col_columns_equal_np_pad(self, padding, stride):
+        layer = Conv2d(2, 3, kernel_size=3, stride=stride, padding=padding, seed=8)
+        x = np.random.default_rng(padding + 10 * stride).normal(size=(3, 2, 5, 7))
+        x[0, 0, 0, 0] = -0.0
+        cols, _ = layer._im2col(x)
+        assert np.array_equal(cols, _np_pad_im2col(layer, x))
+        assert np.array_equal(np.signbit(cols), np.signbit(_np_pad_im2col(layer, x)))
+
     def test_output_shape_no_padding(self):
         layer = Conv2d(1, 2, kernel_size=3, stride=1, padding=0, seed=0)
         assert layer.output_shape((1, 5, 5)) == (2, 3, 3)
