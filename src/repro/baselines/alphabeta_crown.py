@@ -47,7 +47,7 @@ from repro.nn.network import Network
 from repro.specs.properties import Specification
 from repro.utils.timing import Budget
 from repro.utils.validation import require
-from repro.verifiers.appver import ApproximateVerifier, AppVerOutcome, CascadeConfig
+from repro.verifiers.appver import ApproximateVerifier, AppVerOutcome
 from repro.verifiers.attack import AttackConfig, pgd_attack
 from repro.verifiers.milp import (
     LEAF_FALSIFIED,
@@ -184,8 +184,7 @@ class _AlphaBetaRun(VerifierRun):
             verdict.status, self.budget, self.budget.nodes, self.lp_cache,
             counterexample=verdict.counterexample,
             bound=verdict.bound, lp_leaves=self.source.lp_leaves,
-            appver=self.sub_appver,
-            attached_by_stage=dict(self.driver.attached_by_stage))
+            appver=self.sub_appver)
 
     def step(self) -> Optional[VerificationResult]:
         """Advance one frontier round; the final result once decided."""
@@ -214,8 +213,7 @@ class AlphaBetaCrownVerifier(Verifier):
                  lp_leaf_refinement: bool = True,
                  frontier_size: int = 1,
                  lp_cache: Optional[LpCache] = None,
-                 incremental: bool = True,
-                 cascade: Optional[CascadeConfig] = None) -> None:
+                 incremental: bool = True) -> None:
         require(frontier_size >= 1, "frontier_size must be positive")
         self.heuristic_name = heuristic
         self.attack_config = attack_config or AttackConfig(steps=25, restarts=3)
@@ -224,7 +222,6 @@ class AlphaBetaCrownVerifier(Verifier):
         self.frontier_size = frontier_size
         self.lp_cache = lp_cache
         self.incremental = incremental
-        self.cascade = cascade
 
     def verify(self, network: Network, spec: Specification,
                budget: Optional[Budget] = None) -> VerificationResult:
@@ -274,8 +271,7 @@ class AlphaBetaCrownVerifier(Verifier):
         # on the shared frontier engine, using the cheaper DeepPoly back-end
         # for sub-problems.
         sub_appver = ApproximateVerifier(network, spec, "deeppoly",
-                                         incremental=self.incremental,
-                                         cascade=self.cascade)
+                                         incremental=self.incremental)
         root_entry: HeapEntry = (root_outcome.p_hat, 0,
                                  SplitAssignment.empty(), root_outcome)
         # Fingerprint-scoping only matters for an externally shared cache.
@@ -295,15 +291,7 @@ class AlphaBetaCrownVerifier(Verifier):
                 counterexample: Optional[np.ndarray] = None,
                 bound: Optional[float] = None,
                 lp_leaves: int = 0,
-                appver: Optional[ApproximateVerifier] = None,
-                attached_by_stage: Optional[dict] = None) -> VerificationResult:
-        if appver is not None:
-            cascade = appver.cascade_stats()
-        else:  # pre-BaB exit: no sub-problem verifier was ever built
-            cascade = {"enabled": self.cascade.enabled if self.cascade else False,
-                       "children": 0, "decided": {}, "seen": {}, "seconds": {},
-                       "pre_exact_fraction": 0.0}
-        cascade["attached_by_stage"] = attached_by_stage or {}
+                appver: Optional[ApproximateVerifier] = None) -> VerificationResult:
         return VerificationResult(
             status=status,
             verifier=self.name,
@@ -318,7 +306,6 @@ class AlphaBetaCrownVerifier(Verifier):
                     "incremental": self.incremental,
                     "lp_leaves_resolved": lp_leaves,
                     "lp_cache": lp_cache.stats.as_dict(),
-                    "cascade": cascade,
                     "timings": (appver.timings.as_dict() if appver is not None
                                 else {})},
         )

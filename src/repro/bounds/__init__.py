@@ -6,7 +6,6 @@ from repro.bounds.cache import (
     DEFAULT_LP_CACHE_SIZE,
     BoundCache,
     CacheStats,
-    LayerEntry,
     LpCache,
     LpCacheStats,
     SubstitutionEntry,
@@ -19,7 +18,6 @@ from repro.bounds.deeppoly import (
 )
 from repro.bounds.interval import interval_bounds, interval_bounds_batch
 from repro.bounds.linear_form import (
-    AffineForms,
     BatchedAffineForms,
     BatchedLinearForm,
     LinearForm,
@@ -51,14 +49,12 @@ __all__ = [
     "split_delta",
     "stacked_phase_array",
     "SubstitutionEntry",
-    "AffineForms",
     "BatchedAffineForms",
     "AlphaCrownAnalyzer",
     "AlphaCrownConfig",
     "alpha_crown_bounds",
     "BoundCache",
     "CacheStats",
-    "LayerEntry",
     "DeepPolyAnalyzer",
     "deeppoly_bounds",
     "deeppoly_bounds_batch",

@@ -17,34 +17,30 @@ the analysis in two ways:
 If an intersection becomes empty the sub-problem region is empty and the
 report is flagged ``infeasible`` (vacuously verified).
 
-Two execution modes are provided:
+There is one analysis kernel, and it is batched:
+:meth:`DeepPolyAnalyzer.analyze_batch` bounds ``B`` sub-problems of one box
+in one pass, carrying a leading batch axis through the backward
+substitution (stacked relaxation slopes/intercepts, batched matmuls against
+the shared weights, vectorised concretisation over the shared input box).
+:meth:`DeepPolyAnalyzer.analyze` is its ``B = 1`` case: it passes
+``[splits]``, ``[parent]`` and ``(1, width)`` slopes to the same private
+kernel, so a single sub-problem and a batch of them are bounded by the
+same code.
 
-* :meth:`DeepPolyAnalyzer.analyze` — one sub-problem at a time;
-* :meth:`DeepPolyAnalyzer.analyze_batch` — ``B`` sub-problems in one pass,
-  carrying a leading batch axis through the backward substitution (stacked
-  relaxation slopes/intercepts, batched matmuls against the shared weights,
-  vectorised concretisation over the shared input box).
-
-The batched kernel is *two-sided*: the minimising and maximising
+The kernel is *two-sided*: the minimising and maximising
 substitutions of an expression run as one stacked pass, lower forms in
 slots ``[0, B)`` and upper forms in ``[B, 2B)`` of one ``(2B, rows,
 width)`` array, so each layer step costs one clip pair, one bias product
-and one weight GEMM for both directions.  Every batched expression starts
+and one weight GEMM for both directions.  Every expression starts
 from a matrix the whole batch shares — a hidden weight, or the fused
 output-plus-spec rows — whose sign split is precomputed: once per analyzer
 for the weights, once per spec for the top rows.  The kernel agrees with
 running the two directions as separate passes to 1e-12 (it is not
 byte-equal: BLAS rounds a row according to its position in the GEMM), and
-batched results match :meth:`~DeepPolyAnalyzer.analyze` within 1e-9 as
-before.
+with the per-sub-problem, one-direction-at-a-time reference substitution
+kept in the tests within 1e-9.
 
-A third, *relaxed* mode (:meth:`DeepPolyAnalyzer.analyze_batch_relaxed`)
-backs the precision cascade's prefilter stage: it freezes the parent's
-cached relaxations at every layer (correcting only the decided neuron's
-row) and runs a single fused top-level pass — sound but slightly looser
-than the exact modes, at a fraction of their cost.
-
-Both modes accept a :class:`~repro.bounds.cache.BoundCache` that memoises
+The kernel accepts a :class:`~repro.bounds.cache.BoundCache` that memoises
 per-layer results keyed by the split-assignment *prefix* relevant to that
 layer, so a child sub-problem only recomputes layers at-or-below its newly
 decided neuron.
@@ -57,12 +53,10 @@ state is derived from the parent's :class:`~repro.bounds.cache.SubstitutionEntry
 by a **rank-1 correction** — clip the decided neuron's pre-activation
 bounds with its phase and swap that single relaxation row to the exact
 identity/zero form — instead of re-substituting the whole layer through
-every layer below.  The correction reproduces the full recomputation
-bit-for-bit (clipping is per-neuron independent and the relaxation rebuild
-is element-wise on identical inputs), so in the sequential mode incremental
-results are *numerically identical* to a from-scratch analysis; in the
-batched mode they are identical up to the same sub-1e-9 GEMM-reassociation
-noise that already separates ``analyze_batch`` from ``analyze``.  Layers
+every layer below.  The correction reproduces the layer's full
+recomputation up to the sub-1e-9 GEMM-reassociation noise of the batched
+substitution (clipping is per-neuron independent and the relaxation
+rebuild is element-wise on identical inputs).  Layers
 above ``l*`` genuinely change (the tightened relaxation propagates) and are
 recomputed exactly as the non-incremental path would — which is what keeps
 verdicts, node charges and counterexamples identical whether the
@@ -72,14 +66,12 @@ incremental path is on or off (see ``docs/BATCHING.md``).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bounds.cache import BoundCache, SubstitutionEntry
 from repro.bounds.linear_form import (
-    AffineForms,
     BatchedAffineForms,
     ScalarBounds,
     concretize_lower,
@@ -110,19 +102,6 @@ def _measure(timings: Optional[PhaseTimings], phase: str):
     return timings.measure(phase) if timings is not None else nullcontext()
 
 
-@dataclass
-class _ReluRelaxation:
-    """Per-neuron linear relaxation of one hidden ReLU layer.
-
-    ``lower_slope * z <= ReLU(z) <= upper_slope * z + upper_intercept``
-    holds for every ``z`` within the layer's (split-clipped) bounds.
-    """
-
-    lower_slope: np.ndarray
-    upper_slope: np.ndarray
-    upper_intercept: np.ndarray
-
-
 def default_lower_slope(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """DeepPoly's area-minimising choice of the unstable lower slope."""
     return (upper > -lower).astype(float)
@@ -150,26 +129,6 @@ def _relaxation_arrays(lower: np.ndarray, upper: np.ndarray, phases: np.ndarray,
     upper_slope = np.where(active, 1.0, slope)
     upper_intercept = np.where(unstable, -slope * lower, 0.0)
     return lower_slope, upper_slope, upper_intercept
-
-
-def _build_relaxation(bounds: ScalarBounds, layer: int, splits: SplitAssignment,
-                      lower_slopes: Optional[np.ndarray]) -> _ReluRelaxation:
-    size = bounds.size
-    if lower_slopes is None:
-        unstable_lower_slope = None
-    else:
-        unstable_lower_slope = np.clip(np.asarray(lower_slopes, dtype=float), 0.0, 1.0)
-        require(unstable_lower_slope.shape == (size,),
-                f"lower_slopes for layer {layer} must have shape {(size,)}")
-    phases = splits.layer_phase_array(layer, size)
-    lower_slope, upper_slope, upper_intercept = _relaxation_arrays(
-        bounds.lower, bounds.upper, phases, unstable_lower_slope)
-    return _ReluRelaxation(lower_slope, upper_slope, upper_intercept)
-
-
-def _copy_report(report: BoundReport) -> BoundReport:
-    """A shallow copy safe to hand out from the cache (arrays are shared)."""
-    return report.shallow_copy()
 
 
 class DeepPolyAnalyzer:
@@ -213,58 +172,6 @@ class DeepPolyAnalyzer:
         return rows
 
     # -- backward substitution ------------------------------------------------
-    def _substitute_to_input(self, coefficients: np.ndarray, constants: np.ndarray,
-                             last_hidden: int, relaxations: Sequence[_ReluRelaxation],
-                             minimize: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Rewrite ``A @ h_last_hidden + c`` as a linear form over the input.
-
-        ``last_hidden = -1`` means the expression is already over the input.
-        When ``minimize`` is True the rewriting under-approximates the
-        expression (suitable for lower bounds); otherwise it over-approximates.
-        """
-        A = np.asarray(coefficients, dtype=float)
-        c = np.asarray(constants, dtype=float).copy()
-        for layer in range(last_hidden, -1, -1):
-            relax = relaxations[layer]
-            positive = np.clip(A, 0.0, None)
-            negative = np.clip(A, None, 0.0)
-            if minimize:
-                # h >= lower_slope * z and h <= upper_slope * z + upper_intercept
-                new_A = positive * relax.lower_slope + negative * relax.upper_slope
-                c = c + negative @ relax.upper_intercept
-            else:
-                new_A = positive * relax.upper_slope + negative * relax.lower_slope
-                c = c + positive @ relax.upper_intercept
-            A = new_A
-            # Substitute z = W h_{layer-1} + b.
-            weight = self.network.weights[layer]
-            bias = self.network.biases[layer]
-            c = c + A @ bias
-            A = A @ weight
-        return A, c
-
-    def _bound_expression(self, coefficients: np.ndarray, constants: np.ndarray,
-                          last_hidden: int, relaxations: Sequence[_ReluRelaxation],
-                          box: InputBox, timings: Optional[PhaseTimings] = None
-                          ) -> Tuple[ScalarBounds, AffineForms]:
-        """Scalar bounds of ``A @ h_last_hidden + c`` over the box.
-
-        Also returns the accumulated input-level linear forms of both
-        directions; the lower form's minimising corner is the counterexample
-        candidate, and the pair is what the substitution cache memoises.
-        """
-        with _measure(timings, "substitute"):
-            lower_A, lower_c = self._substitute_to_input(
-                coefficients, constants, last_hidden, relaxations, minimize=True)
-            upper_A, upper_c = self._substitute_to_input(
-                coefficients, constants, last_hidden, relaxations, minimize=False)
-        with _measure(timings, "concretize"):
-            lower = concretize_lower(lower_A, lower_c, box)
-            upper = concretize_upper(upper_A, upper_c, box)
-        return (ScalarBounds.wrap(lower, upper),
-                AffineForms(lower_A, lower_c, upper_A, upper_c))
-
-    # -- batched backward substitution ----------------------------------------
     def _bound_expression_batch(self, coefficients: np.ndarray, constants: np.ndarray,
                                 signs: Optional[Tuple[np.ndarray, np.ndarray]],
                                 batch: int, last_hidden: int,
@@ -274,15 +181,17 @@ class DeepPolyAnalyzer:
                                 box: InputBox,
                                 timings: Optional[PhaseTimings] = None
                                 ) -> Tuple[np.ndarray, np.ndarray, BatchedAffineForms]:
-        """Batched :meth:`_bound_expression` of one expression shared by a batch.
+        """Scalar bounds and input-level forms of one expression over the box.
 
+        The expression ``A @ h_last_hidden + c`` is shared by a batch:
         ``coefficients`` ``(rows, width)`` and ``constants`` ``(rows,)`` are
         common to all ``batch`` sub-problems, which differ only in their
         relaxations: one ``(batch, width_layer)`` array per hidden layer up
         to ``last_hidden``.  ``signs`` holds the coefficients' positive and
         negative parts, precomputed by the caller (unused, and may be
         ``None``, when ``last_hidden = -1``).  Returns ``(batch, rows)``
-        lower and upper bound arrays plus the input-level forms.
+        lower and upper bound arrays plus the input-level forms; the lower
+        form's minimising corner is the counterexample candidate.
 
         The minimising and maximising substitutions run as one two-sided
         stack: lower forms in slots ``[0, batch)`` and upper forms in
@@ -345,33 +254,6 @@ class DeepPolyAnalyzer:
         return lower, upper, BatchedAffineForms(lower_A, lower_c, upper_A, upper_c)
 
     # -- incremental rank-1 split correction -----------------------------------
-    def _apply_split_correction(self, entry: SubstitutionEntry, delta: ReluSplit
-                                ) -> Tuple[ScalarBounds, _ReluRelaxation, bool]:
-        """Derive a child's layer state from the parent's entry.
-
-        The child extends the parent by the single decision ``delta`` at
-        this layer, so its pre-activation bounds are the parent's post-clip
-        bounds additionally clipped at the decided neuron, and only that
-        neuron's relaxation row changes (to the exact identity/zero form).
-        Per-neuron clipping is independent and every untouched column's
-        relaxation inputs equal the parent's, so inheriting the parent's
-        arrays and rewriting the single column reproduces the full backward
-        substitution bit-for-bit — at the cost of one scalar clip instead
-        of a whole-layer substitution.
-        """
-        unit = delta.unit
-        lower = entry.lower.copy()
-        upper = entry.upper.copy()
-        lower_slope = entry.lower_slope.copy()
-        upper_slope = entry.upper_slope.copy()
-        upper_intercept = entry.upper_intercept.copy()
-        (lower[unit], upper[unit], layer_infeasible, lower_slope[unit],
-         upper_slope[unit], upper_intercept[unit]) = self._correct_neuron(
-            lower[unit], upper[unit], delta.phase)
-        return (ScalarBounds.wrap(lower, upper),
-                _ReluRelaxation(lower_slope, upper_slope, upper_intercept),
-                layer_infeasible)
-
     @staticmethod
     def _scalar_relaxation(lower: float, upper: float,
                            phase: int) -> Tuple[float, float, float]:
@@ -395,9 +277,6 @@ class DeepPolyAnalyzer:
     def _correct_neuron(cls, low, high, phase: int):
         """Clip one neuron by its decided phase and re-derive its relaxation.
 
-        The single shared implementation behind both correction paths
-        (sequential and batched), so the clip, the ``1e-12`` consistency
-        slack, the swap and the relaxation rebuild can never drift apart.
         Only the clipped neuron can break consistency — the parent's row was
         consistent and the other entries are untouched.  Returns
         ``(low, high, infeasible, lower_slope, upper_slope, intercept)``.
@@ -441,17 +320,8 @@ class DeepPolyAnalyzer:
             # of them are safe to memoise.
             cache.put_layer(layer, keys[row], SubstitutionEntry(
                 lower[row], upper[row], ls[row], us[row], ui[row],
-                row_infeasible, entry.forms))
+                row_infeasible))
         cache.record_delta_corrections(len(corrected))
-
-    @staticmethod
-    def _usable_delta(parent: Optional[SplitAssignment], splits: SplitAssignment,
-                      num_relu_layers: int) -> Optional[ReluSplit]:
-        """The one-split extension of ``parent``, when usable for reuse."""
-        delta = split_delta(parent, splits)
-        if delta is not None and delta.layer < num_relu_layers:
-            return delta
-        return None
 
     # -- public API -------------------------------------------------------------
     def analyze(self, box: InputBox, splits: Optional[SplitAssignment] = None,
@@ -461,6 +331,9 @@ class DeepPolyAnalyzer:
                 parent: Optional[SplitAssignment] = None,
                 timings: Optional[PhaseTimings] = None) -> BoundReport:
         """Run the full analysis over ``box`` under ``splits``.
+
+        The batch of one of :meth:`analyze_batch`: the same kernel bounds
+        ``[splits]`` with ``[parent]`` and one-row slopes.
 
         Parameters
         ----------
@@ -482,107 +355,12 @@ class DeepPolyAnalyzer:
             Optional :class:`~repro.utils.timing.PhaseTimings` receiving the
             ``substitute`` / ``correct`` / ``concretize`` breakdown.
         """
-        network = self.network
-        require(box.dimension == network.input_dim,
-                "input box dimension does not match the network")
-        splits = splits or SplitAssignment.empty()
         if lower_slopes is not None:
-            require(len(lower_slopes) == network.num_relu_layers,
-                    "lower_slopes must provide one array per hidden layer")
-        use_cache = cache is not None and lower_slopes is None
-        if use_cache:
-            cached = cache.get_report(splits.canonical_key(), spec is not None)
-            if cached is not None:
-                return _copy_report(cached)
-        delta = (self._usable_delta(parent, splits, network.num_relu_layers)
-                 if use_cache else None)
-
-        relaxations: List[_ReluRelaxation] = []
-        pre_activation_bounds: List[ScalarBounds] = []
-        infeasible = False
-
-        for layer in range(network.num_relu_layers):
-            entry = None
-            key = None
-            if use_cache:
-                key = splits.prefix_key(layer)
-                entry = cache.get_layer(layer, key)
-            if entry is not None:
-                bounds = ScalarBounds.wrap(entry.lower, entry.upper)
-                relaxation = _ReluRelaxation(entry.lower_slope, entry.upper_slope,
-                                             entry.upper_intercept)
-                layer_infeasible = entry.infeasible
-            else:
-                corrected = False
-                if delta is not None and delta.layer == layer:
-                    parent_entry = cache.peek_layer(layer, parent.prefix_key(layer))
-                    if parent_entry is not None and not parent_entry.infeasible:
-                        with _measure(timings, "correct"):
-                            bounds, relaxation, layer_infeasible = \
-                                self._apply_split_correction(parent_entry, delta)
-                        cache.put_layer(layer, key, SubstitutionEntry(
-                            bounds.lower, bounds.upper,
-                            relaxation.lower_slope, relaxation.upper_slope,
-                            relaxation.upper_intercept, layer_infeasible,
-                            parent_entry.forms))
-                        cache.record_delta_corrections()
-                        corrected = True
-                if not corrected:
-                    weight = network.weights[layer]
-                    bias = network.biases[layer]
-                    bounds, forms = self._bound_expression(weight, bias, layer - 1,
-                                                           relaxations, box,
-                                                           timings=timings)
-                    bounds = self._clip_with_splits(bounds, layer, splits)
-                    layer_infeasible = not bounds.is_consistent()
-                    if layer_infeasible:
-                        bounds = ScalarBounds(np.minimum(bounds.lower, bounds.upper),
-                                              np.maximum(bounds.lower, bounds.upper))
-                    layer_slopes = None if lower_slopes is None else lower_slopes[layer]
-                    relaxation = _build_relaxation(bounds, layer, splits, layer_slopes)
-                    if use_cache:
-                        cache.put_layer(layer, key, SubstitutionEntry(
-                            bounds.lower.copy(), bounds.upper.copy(),
-                            relaxation.lower_slope.copy(),
-                            relaxation.upper_slope.copy(),
-                            relaxation.upper_intercept.copy(), layer_infeasible,
-                            forms))
-            infeasible = infeasible or layer_infeasible
-            pre_activation_bounds.append(bounds)
-            relaxations.append(relaxation)
-
-        last_hidden = network.num_relu_layers - 1
-        output_bounds, _ = self._bound_expression(network.weights[-1], network.biases[-1],
-                                                  last_hidden, relaxations, box,
-                                                  timings=timings)
-
-        spec_row_lower = None
-        p_hat = None
-        candidate = None
-        if spec is not None:
-            require(spec.output_dim == network.output_dim,
-                    "specification output dimension does not match the network")
-            coefficients = spec.coefficients @ network.weights[-1]
-            constants = spec.coefficients @ network.biases[-1] + spec.offsets
-            spec_bounds, spec_forms = self._bound_expression(coefficients, constants,
-                                                             last_hidden, relaxations,
-                                                             box, timings=timings)
-            spec_row_lower = spec_bounds.lower
-            worst_row = int(np.argmin(spec_row_lower))
-            candidate = spec_forms.minimizer(box, worst_row)
-            p_hat = float("inf") if infeasible else float(spec_row_lower[worst_row])
-
-        report = BoundReport(pre_activation_bounds=pre_activation_bounds,
-                             output_bounds=output_bounds,
-                             spec_row_lower=spec_row_lower,
-                             p_hat=p_hat,
-                             candidate_input=candidate,
-                             infeasible=infeasible,
-                             method="deeppoly")
-        if use_cache:
-            cache.put_report(splits.canonical_key(), spec is not None,
-                             _copy_report(report))
-        return report
+            lower_slopes = [np.asarray(slopes, dtype=float)[None]
+                            for slopes in lower_slopes]
+        parents = None if parent is None else [parent]
+        return self._analyze(box, [splits], spec, cache, lower_slopes, parents,
+                             timings)[0]
 
     def analyze_batch(self, box: InputBox,
                       splits_list: Sequence[Optional[SplitAssignment]],
@@ -594,25 +372,39 @@ class DeepPolyAnalyzer:
                       ) -> List[BoundReport]:
         """Analyse ``B`` sub-problems of the same box in one batched pass.
 
-        Semantically equivalent to ``[self.analyze(box, s, spec) for s in
-        splits_list]`` (up to floating-point reassociation well below 1e-9 on
-        the networks used here), but the backward substitution of all
-        sub-problems runs through shared, stacked matmuls.  With a ``cache``,
+        The backward substitution of all sub-problems runs through shared,
+        stacked matmuls; each report agrees with bounding its sub-problem
+        alone up to floating-point reassociation well below 1e-9 on the
+        networks used here.  With a ``cache``,
         sub-problems whose layer prefixes (or whole assignment) were seen
         before skip straight past the memoised layers.
 
         ``lower_slopes`` optionally supplies one ``(B, width_layer)`` array
         per hidden layer of unstable lower-relaxation slopes in ``[0, 1]``
-        (row ``b`` applies to ``splits_list[b]``) — the batched counterpart
-        of :meth:`analyze`'s ``lower_slopes``, used by the batched α-CROWN
-        optimiser.  As in the sequential path, supplying slopes bypasses the
-        cache entirely.
+        (row ``b`` applies to ``splits_list[b]``), used by the α-CROWN
+        optimiser; supplying slopes bypasses the cache entirely.
 
         ``parents`` optionally supplies the BaB parent of each sub-problem
         (index-aligned with ``splits_list``, ``None`` entries allowed); a
         sub-problem extending its parent by one split resolves its split
         layer through the rank-1 correction against the parent's cached
         substitution entry instead of a fresh backward substitution.
+        """
+        return self._analyze(box, splits_list, spec, cache, lower_slopes, parents,
+                             timings)
+
+    def _analyze(self, box: InputBox,
+                 splits_list: Sequence[Optional[SplitAssignment]],
+                 spec: Optional[LinearOutputSpec],
+                 cache: Optional[BoundCache],
+                 lower_slopes: Optional[Sequence[np.ndarray]],
+                 parents: Optional[Sequence[Optional[SplitAssignment]]],
+                 timings: Optional[PhaseTimings]) -> List[BoundReport]:
+        """The analysis kernel behind :meth:`analyze` and :meth:`analyze_batch`.
+
+        Both public entry points call it directly rather than one another,
+        so a wrapper installed on one of them (a profiler's span, say) never
+        also sees the other's calls.
         """
         network = self.network
         require(box.dimension == network.input_dim,
@@ -640,8 +432,10 @@ class DeepPolyAnalyzer:
             if incremental:
                 parent_canonicals = {}
                 for index, splits in enumerate(splits_list):
-                    delta = self._usable_delta(parents[index], splits, num_layers)
-                    if delta is None:
+                    # Only a one-split extension of the parent at a hidden
+                    # layer reuses the parent's pass.
+                    delta = split_delta(parents[index], splits)
+                    if delta is None or delta.layer >= num_layers:
                         canonical_keys[index] = splits.canonical_key()
                         continue
                     parent = parents[index]
@@ -661,7 +455,7 @@ class DeepPolyAnalyzer:
             for index in range(batch_size):
                 cached = cache.get_report(canonical_keys[index], spec is not None)
                 if cached is not None:
-                    reports[index] = _copy_report(cached)
+                    reports[index] = cached.shallow_copy()
         pending = [index for index in range(batch_size) if reports[index] is None]
         if not pending:
             return reports
@@ -808,19 +602,11 @@ class DeepPolyAnalyzer:
                 ui[idx] = miss_ui
                 layer_infeasible[idx] = inconsistent
                 if use_cache:
-                    # The batched pass stores no forms: a per-row view would
-                    # pin the whole round's stacked (miss, rows, input_dim)
-                    # substitution arrays in the LRU for the entry's
-                    # lifetime, and a per-row copy would put two
-                    # (width, input_dim) allocations on the hot path.  The
-                    # sequential path, whose form arrays are exclusively
-                    # owned, keeps capturing them (``forms`` is Optional).
                     for position, row in enumerate(miss):
                         cache.put_layer(layer, keys[row], SubstitutionEntry(
                             miss_lower[position].copy(), miss_upper[position].copy(),
                             miss_ls[position].copy(), miss_us[position].copy(),
-                            miss_ui[position].copy(), bool(inconsistent[position]),
-                            None))
+                            miss_ui[position].copy(), bool(inconsistent[position])))
 
             infeasible |= layer_infeasible
             lower_layers.append(lower)
@@ -880,189 +666,9 @@ class DeepPolyAnalyzer:
             # the first run stored them.
             if use_cache:
                 cache.put_report(sub_canonicals[position], spec is not None,
-                                 _copy_report(report))
+                                 report.shallow_copy())
             reports[index] = report
         return reports
-
-    def analyze_batch_relaxed(self, box: InputBox,
-                              splits_list: Sequence[Optional[SplitAssignment]],
-                              spec: Optional[LinearOutputSpec] = None,
-                              cache: Optional[BoundCache] = None,
-                              parents: Optional[Sequence[Optional[SplitAssignment]]] = None,
-                              timings: Optional[PhaseTimings] = None
-                              ) -> List[Optional[BoundReport]]:
-        """Relaxed-incremental pass: freeze the parent's relaxations.
-
-        For every sub-problem that extends its BaB parent by exactly one
-        split and whose parent has a cached substitution entry at *every*
-        hidden layer, this derives output/spec bounds from the parent's
-        **frozen** relaxation stacks: only the decided neuron's bounds are
-        clipped and its relaxation row swapped to the exact identity/zero
-        form (the same rank-1 payload as the exact incremental path), and no
-        layer is re-substituted — the whole batch costs one fused top-level
-        backward pass.
-
-        *Soundness.*  Each parent relaxation row satisfies
-        ``lower_slope·z <= ReLU(z) <= upper_slope·z + upper_intercept`` for
-        every ``z`` within the parent's post-clip pre-activation bounds.
-        The child's region is a subset of the parent's, so every
-        pre-activation attainable on the child lies within those same
-        bounds and the frozen rows remain valid; at the split layer the
-        decided neuron's corrected row is valid on its clipped range.  The
-        resulting bounds are therefore sound for the child — but layers
-        above the split are *not* re-tightened, so they are at most as
-        tight as :meth:`analyze_batch`'s (``p̂`` typically slightly
-        smaller).  Reports carry ``method="deeppoly-relaxed"``.
-
-        Returns one report per sub-problem, ``None`` where the mode does not
-        apply (no usable one-split delta, or a missing parent entry).  Parent
-        entries are read via :meth:`~repro.bounds.cache.BoundCache.peek_layer`
-        only and the cache is **never written**: the frozen-relaxation
-        results are looser than what the exact path memoises and must not
-        shadow it.
-        """
-        network = self.network
-        require(box.dimension == network.input_dim,
-                "input box dimension does not match the network")
-        splits_list = [s or SplitAssignment.empty() for s in splits_list]
-        batch_size = len(splits_list)
-        reports: List[Optional[BoundReport]] = [None] * batch_size
-        if batch_size == 0 or cache is None or parents is None:
-            return reports
-        require(len(parents) == batch_size,
-                "parents must be index-aligned with splits_list")
-        num_layers = network.num_relu_layers
-
-        # Rows where the mode applies: a usable one-split delta plus the
-        # parent's substitution entry at every hidden layer.  Entries are
-        # memoised per parent — phase-split siblings share all of them.
-        entries_by_parent: dict = {}
-
-        def _parent_entries(parent):
-            found = entries_by_parent.get(id(parent), False)
-            if found is not False:
-                return found
-            entries = []
-            for layer in range(num_layers):
-                entry = cache.peek_layer(layer, parent.prefix_key(layer))
-                if entry is None:
-                    entries = None
-                    break
-                entries.append(entry)
-            entries_by_parent[id(parent)] = entries
-            return entries
-
-        rows: List[int] = []
-        row_deltas: List[ReluSplit] = []
-        row_entries: List[List[SubstitutionEntry]] = []
-        for index in range(batch_size):
-            delta = self._usable_delta(parents[index], splits_list[index],
-                                       num_layers)
-            if delta is None:
-                continue
-            entries = _parent_entries(parents[index])
-            if entries is None:
-                continue
-            rows.append(index)
-            row_deltas.append(delta)
-            row_entries.append(entries)
-        if not rows:
-            return reports
-        count = len(rows)
-
-        # Stack the frozen per-layer relaxations, correcting only the
-        # decided neuron of each row's split layer.
-        relax_ls: List[np.ndarray] = []
-        relax_us: List[np.ndarray] = []
-        relax_ui: List[np.ndarray] = []
-        pre_bounds_rows: List[List[ScalarBounds]] = [[] for _ in range(count)]
-        infeasible = np.zeros(count, dtype=bool)
-        with _measure(timings, "correct"):
-            for layer in range(num_layers):
-                width = network.weights[layer].shape[0]
-                ls = np.empty((count, width))
-                us = np.empty((count, width))
-                ui = np.empty((count, width))
-                for row in range(count):
-                    entry = row_entries[row][layer]
-                    ls[row] = entry.lower_slope
-                    us[row] = entry.upper_slope
-                    ui[row] = entry.upper_intercept
-                    delta = row_deltas[row]
-                    if delta.layer == layer:
-                        unit = delta.unit
-                        (low, high, row_infeasible, ls[row, unit],
-                         us[row, unit], ui[row, unit]) = self._correct_neuron(
-                            float(entry.lower[unit]), float(entry.upper[unit]),
-                            delta.phase)
-                        lower = entry.lower.copy()
-                        upper = entry.upper.copy()
-                        lower[unit] = low
-                        upper[unit] = high
-                        bounds = ScalarBounds.wrap(lower, upper)
-                        infeasible[row] |= row_infeasible or entry.infeasible
-                    else:
-                        bounds = ScalarBounds.wrap(entry.lower, entry.upper)
-                        infeasible[row] |= entry.infeasible
-                    pre_bounds_rows[row].append(bounds)
-                relax_ls.append(ls)
-                relax_us.append(us)
-                relax_ui.append(ui)
-
-        # One fused top-level pass bounds outputs and spec rows, exactly as
-        # in :meth:`analyze_batch`.
-        last_hidden = num_layers - 1
-        num_outputs = network.biases[-1].shape[0]
-        top_lower, top_upper, top_forms = self._bound_expression_batch(
-            *self._top_rows(spec), count, last_hidden, relax_ls, relax_us,
-            relax_ui, box, timings=timings)
-        output_lower = top_lower[:, :num_outputs]
-        output_upper = top_upper[:, :num_outputs]
-
-        spec_lower = None
-        candidates = None
-        worst_rows = None
-        if spec is not None:
-            spec_lower = top_lower[:, num_outputs:]
-            worst_rows = np.argmin(spec_lower, axis=1)
-            candidates = BatchedAffineForms(
-                top_forms.lower_A[:, num_outputs:, :],
-                top_forms.lower_c[:, num_outputs:],
-                top_forms.upper_A[:, num_outputs:, :],
-                top_forms.upper_c[:, num_outputs:]).minimizers(box, worst_rows)
-
-        for row, index in enumerate(rows):
-            spec_row_lower = None
-            p_hat = None
-            candidate = None
-            if spec is not None:
-                spec_row_lower = spec_lower[row]
-                candidate = candidates[row]
-                p_hat = (float("inf") if infeasible[row]
-                         else float(spec_row_lower[worst_rows[row]]))
-            reports[index] = BoundReport(
-                pre_activation_bounds=pre_bounds_rows[row],
-                output_bounds=ScalarBounds.wrap(output_lower[row],
-                                                output_upper[row]),
-                spec_row_lower=spec_row_lower,
-                p_hat=p_hat,
-                candidate_input=candidate,
-                infeasible=bool(infeasible[row]),
-                method="deeppoly-relaxed")
-        return reports
-
-    @staticmethod
-    def _clip_with_splits(bounds: ScalarBounds, layer: int,
-                          splits: SplitAssignment) -> ScalarBounds:
-        lower = bounds.lower.copy()
-        upper = bounds.upper.copy()
-        for unit, phase in splits.layer_phases(layer, bounds.size).items():
-            if phase == ACTIVE:
-                lower[unit] = max(lower[unit], 0.0)
-            elif phase == INACTIVE:
-                upper[unit] = min(upper[unit], 0.0)
-        return ScalarBounds(lower, upper)
-
 
 def deeppoly_bounds(network: LoweredNetwork, box: InputBox,
                     splits: Optional[SplitAssignment] = None,

@@ -16,8 +16,6 @@ import numpy as np
 from repro.bounds.linear_form import ScalarBounds
 from repro.bounds.report import BoundReport
 from repro.bounds.splits import (
-    ACTIVE,
-    INACTIVE,
     SplitAssignment,
     clip_bounds_with_phases,
     stacked_phase_array,
@@ -25,29 +23,6 @@ from repro.bounds.splits import (
 from repro.nn.network import LoweredNetwork
 from repro.specs.properties import InputBox, LinearOutputSpec
 from repro.utils.validation import require
-
-
-def _affine_interval(weight: np.ndarray, bias: np.ndarray,
-                     lower: np.ndarray, upper: np.ndarray) -> ScalarBounds:
-    """Interval image of ``W @ h + b`` for ``h`` in ``[lower, upper]``."""
-    positive = np.clip(weight, 0.0, None)
-    negative = np.clip(weight, None, 0.0)
-    new_lower = positive @ lower + negative @ upper + bias
-    new_upper = positive @ upper + negative @ lower + bias
-    return ScalarBounds(new_lower, new_upper)
-
-
-def _apply_split_clipping(bounds: ScalarBounds, layer: int,
-                          splits: SplitAssignment) -> ScalarBounds:
-    """Intersect pre-activation bounds with the layer's split constraints."""
-    lower = bounds.lower.copy()
-    upper = bounds.upper.copy()
-    for unit, phase in splits.layer_phases(layer, bounds.size).items():
-        if phase == ACTIVE:
-            lower[unit] = max(lower[unit], 0.0)
-        elif phase == INACTIVE:
-            upper[unit] = min(upper[unit], 0.0)
-    return ScalarBounds(lower, upper)
 
 
 def interval_bounds(network: LoweredNetwork, box: InputBox,
@@ -58,52 +33,14 @@ def interval_bounds(network: LoweredNetwork, box: InputBox,
     Returns a :class:`BoundReport`; when ``spec`` is provided the report
     carries ``p̂`` (the minimum spec-row lower bound) and a candidate
     counterexample (the box centre, IBP does not produce a sharper witness).
+    The batch of one of :func:`interval_bounds_batch`.
     """
-    require(box.dimension == network.input_dim,
-            "input box dimension does not match the network")
-    splits = splits or SplitAssignment.empty()
-
-    lower = box.lower
-    upper = box.upper
-    pre_activation_bounds: List[ScalarBounds] = []
-    infeasible = False
-    for layer in range(network.num_relu_layers):
-        pre = _affine_interval(network.weights[layer], network.biases[layer], lower, upper)
-        pre = _apply_split_clipping(pre, layer, splits)
-        if not pre.is_consistent():
-            infeasible = True
-            pre = ScalarBounds(np.minimum(pre.lower, pre.upper),
-                               np.maximum(pre.lower, pre.upper))
-        pre_activation_bounds.append(pre)
-        lower = np.maximum(pre.lower, 0.0)
-        upper = np.maximum(pre.upper, 0.0)
-
-    output_bounds = _affine_interval(network.weights[-1], network.biases[-1], lower, upper)
-
-    spec_row_lower = None
-    p_hat = None
-    candidate = None
-    if spec is not None:
-        require(spec.output_dim == network.output_dim,
-                "specification output dimension does not match the network")
-        spec_bounds = _affine_interval(spec.coefficients, spec.offsets,
-                                       output_bounds.lower, output_bounds.upper)
-        spec_row_lower = spec_bounds.lower
-        p_hat = float("inf") if infeasible else float(np.min(spec_row_lower))
-        candidate = box.center
-
-    return BoundReport(pre_activation_bounds=pre_activation_bounds,
-                       output_bounds=output_bounds,
-                       spec_row_lower=spec_row_lower,
-                       p_hat=p_hat,
-                       candidate_input=candidate,
-                       infeasible=infeasible,
-                       method="ibp")
+    return interval_bounds_batch(network, box, [splits], spec=spec)[0]
 
 
 def _affine_interval_batch(weight: np.ndarray, bias: np.ndarray,
                            lower: np.ndarray, upper: np.ndarray):
-    """Batched :func:`_affine_interval`: ``lower``/``upper`` are ``(B, dim)``."""
+    """Interval images of ``W @ h + b`` for ``B`` boxes ``(B, dim)`` of ``h``."""
     positive = np.clip(weight, 0.0, None)
     negative = np.clip(weight, None, 0.0)
     new_lower = lower @ positive.T + upper @ negative.T + bias
@@ -116,9 +53,9 @@ def interval_bounds_batch(network: LoweredNetwork, box: InputBox,
                           spec: Optional[LinearOutputSpec] = None) -> List[BoundReport]:
     """Run IBP on ``B`` sub-problems of the same box in one batched pass.
 
-    Equivalent to ``[interval_bounds(network, box, s, spec) for s in
-    splits_list]`` but carries a leading batch axis through the layer loop,
-    so the affine images of all sub-problems are computed by shared matmuls.
+    Carries a leading batch axis through the layer loop, so the affine
+    images of all sub-problems are computed by shared matmuls.  Returns one
+    report per sub-problem, in order.
     """
     require(box.dimension == network.input_dim,
             "input box dimension does not match the network")

@@ -194,49 +194,14 @@ class BatchedLinearForm:
 
 
 @dataclass(frozen=True)
-class AffineForms:
-    """Paired input-level lower/upper linear forms of one vector quantity.
+class BatchedAffineForms:
+    """Paired input-level lower/upper linear forms, one per batch element.
 
     The backward substitution bounds an expression twice — once
-    under-approximating (``lower_A @ x + lower_c`` is a sound lower bound)
-    and once over-approximating.  This pair is what
-    :class:`~repro.bounds.cache.SubstitutionEntry` memoises per layer: the
-    *accumulated* forms of a finished backward pass, valid for every
-    sub-problem sharing the pass's relaxations.  A phase-split child whose
-    relaxations below the layer are unchanged inherits the parent's forms
-    verbatim (the rank-1 split correction only clips the concretised
-    bounds), which is what makes the incremental path exact.
-    """
-
-    lower_A: np.ndarray
-    lower_c: np.ndarray
-    upper_A: np.ndarray
-    upper_c: np.ndarray
-
-    @property
-    def num_rows(self) -> int:
-        return int(np.asarray(self.lower_A).shape[0])
-
-    def concretize(self, box: InputBox) -> "ScalarBounds":
-        """Scalar bounds of the forms over the box (pre-clip)."""
-        return ScalarBounds(concretize_lower(self.lower_A, self.lower_c, box),
-                            concretize_upper(self.upper_A, self.upper_c, box))
-
-    def minimizer(self, box: InputBox, row: int) -> np.ndarray:
-        """The box corner minimising one row of the lower form."""
-        require(0 <= row < self.num_rows, f"row {row} out of range")
-        return minimizing_corner(self.lower_A[row], box)
-
-
-@dataclass(frozen=True)
-class BatchedAffineForms:
-    """A leading-batch-axis stack of :class:`AffineForms`.
-
-    ``lower_A``/``upper_A`` have shape ``(batch, rows, input_dim)`` and the
-    constants ``(batch, rows)``; :meth:`select` yields one batch element's
-    forms as *views* (no copies — the batched substitution arrays are never
-    mutated after construction, so sharing them is safe and keeps the
-    per-layer memoisation allocation-free).
+    under-approximating (``lower_A[b] @ x + lower_c[b]`` is a sound lower
+    bound of sub-problem ``b``) and once over-approximating.  ``lower_A``/
+    ``upper_A`` have shape ``(batch, rows, input_dim)`` and the constants
+    ``(batch, rows)``.
     """
 
     lower_A: np.ndarray
@@ -247,12 +212,6 @@ class BatchedAffineForms:
     @property
     def batch_size(self) -> int:
         return int(np.asarray(self.lower_A).shape[0])
-
-    def select(self, index: int) -> AffineForms:
-        """The forms of one batch element (views into the stacked arrays)."""
-        require(0 <= index < self.batch_size, f"batch index {index} out of range")
-        return AffineForms(self.lower_A[index], self.lower_c[index],
-                           self.upper_A[index], self.upper_c[index])
 
     def minimizers(self, box: InputBox, rows: np.ndarray) -> np.ndarray:
         """Per batch element, the corner minimising the selected lower row."""

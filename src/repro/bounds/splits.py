@@ -265,7 +265,7 @@ def clip_bounds_with_phases(lower: np.ndarray, upper: np.ndarray,
     each batch row whose intersection became empty (beyond the ``1e-12``
     slack of :meth:`~repro.bounds.linear_form.ScalarBounds.is_consistent`),
     and re-sorts only those rows so downstream relaxations stay well formed
-    — exactly matching the sequential analyser's behaviour per sub-problem.
+    — the same handling, row by row, as a single sub-problem gets.
     Returns ``(lower, upper, inconsistent_rows)``.
     """
     lower = np.where(phases == ACTIVE, np.maximum(lower, 0.0), lower)

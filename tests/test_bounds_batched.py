@@ -1,8 +1,11 @@
-"""Equivalence regression tests: batched AppVer vs sequential evaluation.
+"""Equivalence regression tests: batched AppVer vs a per-sub-problem reference.
 
-``ApproximateVerifier.evaluate_batch`` must reproduce sequential
-``evaluate`` results to 1e-9 — for batch sizes 1, 2 and 17, with and
-without warmed cache prefixes, and including infeasible-split reports.
+``ApproximateVerifier.evaluate_batch`` and ``evaluate`` must reproduce the
+test-local one-sub-problem-at-a-time analyses of ``reference_bounds`` to
+1e-9 — for batch sizes 1, 2 and 17, with and without warmed cache
+prefixes, and including infeasible-split reports.  ``evaluate`` is the
+batch of one of the same kernel, so the reference, not ``evaluate``, is
+the oracle.
 
 The two-sided batched DeepPoly kernel is also checked against an
 independent oracle: a test-local copy of the one-direction batched
@@ -23,7 +26,8 @@ from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
 from repro.nn.network import LoweredNetwork
 from repro.specs.properties import InputBox, LinearOutputSpec
 from repro.specs.robustness import local_robustness_spec
-from repro.verifiers.appver import ApproximateVerifier
+from repro.verifiers.appver import ApproximateVerifier, AppVerOutcome
+from reference_bounds import reference_deeppoly, reference_ibp
 
 TOLERANCE = 1e-9
 
@@ -68,26 +72,41 @@ def _make_splits_pool(network, spec, seed=0):
     return pool
 
 
-def _assert_outcomes_match(batched, sequential):
-    assert len(batched) == len(sequential)
-    for got, want in zip(batched, sequential):
-        if want.p_hat == float("inf"):
-            assert got.p_hat == float("inf")
-        else:
-            assert abs(got.p_hat - want.p_hat) <= TOLERANCE
-        assert got.report.infeasible == want.report.infeasible
+def _reference_outcomes(network, spec, method, batch):
+    """The reference analysis of each sub-problem, as AppVer outcomes."""
+    analyse = reference_deeppoly if method == "deeppoly" else reference_ibp
+    outcomes = []
+    for splits in batch:
+        report = analyse(network.lowered(), spec.input_box, splits,
+                         spec.output_spec)
+        valid = report.p_hat < 0.0 and spec.is_counterexample(
+            network, report.candidate_input)
+        outcomes.append(AppVerOutcome(report.p_hat, report.candidate_input,
+                                      valid, report))
+    return outcomes
+
+
+def _assert_reports_match(got, want):
+    """Bound reports equal to TOLERANCE, with exact infeasibility flags."""
+    assert got.infeasible == want.infeasible
+    if want.p_hat == float("inf"):
+        assert got.p_hat == float("inf")
+    else:
+        assert abs(got.p_hat - want.p_hat) <= TOLERANCE
+    for name in ("spec_row_lower", "candidate_input"):
+        assert np.allclose(getattr(got, name), getattr(want, name), atol=TOLERANCE)
+    for got_bounds, want_bounds in zip(
+            [got.output_bounds, *got.pre_activation_bounds],
+            [want.output_bounds, *want.pre_activation_bounds]):
+        assert np.allclose(got_bounds.lower, want_bounds.lower, atol=TOLERANCE)
+        assert np.allclose(got_bounds.upper, want_bounds.upper, atol=TOLERANCE)
+
+
+def _assert_outcomes_match(got_outcomes, want_outcomes):
+    assert len(got_outcomes) == len(want_outcomes)
+    for got, want in zip(got_outcomes, want_outcomes):
         assert got.is_valid_counterexample == want.is_valid_counterexample
-        assert np.allclose(got.report.spec_row_lower, want.report.spec_row_lower,
-                           atol=TOLERANCE)
-        assert np.allclose(got.report.output_bounds.lower,
-                           want.report.output_bounds.lower, atol=TOLERANCE)
-        assert np.allclose(got.report.output_bounds.upper,
-                           want.report.output_bounds.upper, atol=TOLERANCE)
-        for got_bounds, want_bounds in zip(got.report.pre_activation_bounds,
-                                           want.report.pre_activation_bounds):
-            assert np.allclose(got_bounds.lower, want_bounds.lower, atol=TOLERANCE)
-            assert np.allclose(got_bounds.upper, want_bounds.upper, atol=TOLERANCE)
-        assert np.allclose(got.candidate, want.candidate, atol=TOLERANCE)
+        _assert_reports_match(got.report, want.report)
 
 
 class TestEvaluateBatchEquivalence:
@@ -97,31 +116,28 @@ class TestEvaluateBatchEquivalence:
         network, spec = medium_problem
         pool = _make_splits_pool(network, spec)
         batch = [pool[index % len(pool)] for index in range(batch_size)]
-        sequential = [ApproximateVerifier(network, spec, method,
-                                          use_cache=False).evaluate(splits)
-                      for splits in batch]
-        batched = ApproximateVerifier(network, spec, method,
-                                      use_cache=False).evaluate_batch(batch)
-        _assert_outcomes_match(batched, sequential)
+        reference = _reference_outcomes(network, spec, method, batch)
+        verifier = ApproximateVerifier(network, spec, method, use_cache=False)
+        _assert_outcomes_match(verifier.evaluate_batch(batch), reference)
+        _assert_outcomes_match([verifier.evaluate(splits) for splits in batch],
+                               reference)
 
     @pytest.mark.parametrize("batch_size", [1, 2, 17])
     def test_matches_sequential_with_cached_prefixes(self, medium_problem, batch_size):
         network, spec = medium_problem
         pool = _make_splits_pool(network, spec)
         batch = [pool[index % len(pool)] for index in range(batch_size)]
-        sequential = [ApproximateVerifier(network, spec,
-                                          use_cache=False).evaluate(splits)
-                      for splits in batch]
+        reference = _reference_outcomes(network, spec, "deeppoly", batch)
         # Warm the cache with the root and a few parents, then batch-evaluate.
         verifier = ApproximateVerifier(network, spec, use_cache=True)
         verifier.evaluate()
         verifier.evaluate(pool[1])
         batched = verifier.evaluate_batch(batch)
         assert verifier.cache.stats.hits > 0
-        _assert_outcomes_match(batched, sequential)
+        _assert_outcomes_match(batched, reference)
         # A second pass is served from the report cache and still matches.
         again = verifier.evaluate_batch(batch)
-        _assert_outcomes_match(again, sequential)
+        _assert_outcomes_match(again, reference)
 
     def test_infeasible_split_reports(self, medium_problem):
         network, spec = medium_problem
@@ -165,6 +181,29 @@ class TestEvaluateBatchEquivalence:
                                       "alpha-crown").evaluate_batch(batch)
         for got, want in zip(batched, sequential):
             assert got.p_hat == pytest.approx(want.p_hat, abs=TOLERANCE)
+
+
+class TestLowerSlopesMatchReference:
+    def test_single_and_batched_slopes_match_reference(self, medium_problem):
+        """α-CROWN's slope override, as one ``(width,)`` array per layer for
+        ``analyze`` and ``(B, width)`` for ``analyze_batch``."""
+        network, spec = medium_problem
+        lowered = network.lowered()
+        pool = _make_splits_pool(network, spec)
+        rng = np.random.default_rng(5)
+        widths = [weight.shape[0] for weight in lowered.weights[:-1]]
+        slopes = [rng.uniform(-0.2, 1.2, size=(len(pool), width)) for width in widths]
+        analyzer = DeepPolyAnalyzer(lowered)
+        batched = analyzer.analyze_batch(spec.input_box, pool, spec=spec.output_spec,
+                                         lower_slopes=slopes)
+        for index, splits in enumerate(pool):
+            row = [layer_slopes[index] for layer_slopes in slopes]
+            want = reference_deeppoly(lowered, spec.input_box, splits,
+                                      spec.output_spec, lower_slopes=row)
+            single = analyzer.analyze(spec.input_box, splits, spec=spec.output_spec,
+                                      lower_slopes=row)
+            _assert_reports_match(single, want)
+            _assert_reports_match(batched[index], want)
 
 
 class TestBatchedLinearForm:

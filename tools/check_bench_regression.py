@@ -22,10 +22,12 @@ Only *machine-portable* metrics are compared by default:
 
 Absolute per-child times (``median_per_child_us``) are informational: they
 are not comparable across machines and are skipped unless
-``--compare-times`` is given.  Keys present in only one of the two files
-are skipped (sections are flag-dependent), so the checker works for both
-smoke and full runs as long as baseline and current were produced with the
-same flags.
+``--compare-times`` is given.  The check fails closed: a gated baseline key
+(or, under ``--compare-times``, a family of a time key) that is missing
+from the current summary is a regression, because a bench section that
+stopped running must not pass silently.  Baseline and current must
+therefore be produced with the same flags; keys only the current run has,
+and ungated baseline keys, are ignored.
 
 Usage::
 
@@ -47,8 +49,6 @@ HIGHER_BETTER_KEYS = (
     "min_speedup_incremental",
     "lp_min_micro_hit_rate",
     "min_mean_realised_batch_at_frontier_8",
-    "min_speedup_cascade_steady",
-    "cascade_max_pre_exact_fraction",
     "service_min_throughput_speedup",
     "service_min_lp_hit_rate",
     "service_min_bound_hit_rate",
@@ -61,7 +61,6 @@ HIGHER_BETTER_KEYS = (
 #: sits just above 1.0 — CI still fails if the incremental path stops
 #: helping at all, without flaking on scheduler noise.
 TOLERANCE_OVERRIDES = {"min_speedup_incremental": 0.30,
-                       "min_speedup_cascade_steady": 0.30,
                        # End-to-end wall-clock ratios on the tiny smoke
                        # workload swing with scheduler noise; wider headroom
                        # keeps the gates meaningful without flaking.
@@ -94,6 +93,7 @@ TIME_KEYS = ("median_per_child_us",)
 
 
 def _classify(key: str):
+    """``"boolean"``, ``"higher"`` or ``"lower"`` for a gated key, else None."""
     if any(marker in key for marker in BOOLEAN_MARKERS):
         return "boolean"
     if key in LOWER_BETTER_KEYS:
@@ -107,15 +107,20 @@ def compare_summaries(current: dict, baseline: dict, tolerance: float,
                       compare_times: bool = False):
     """Yield ``(key, message)`` for every regression found."""
     for key, base_value in baseline.items():
+        gated = (_classify(key) is not None
+                 or (key in TIME_KEYS and compare_times))
+        if not gated:
+            continue
         if key not in current:
+            yield (key, f"gated key {key} is missing from the current summary")
             continue
         value = current[key]
         if key in TIME_KEYS:
-            if not compare_times:
-                continue
             for family, base_times in base_value.items():
                 times = value.get(family)
                 if times is None:
+                    yield (key, f"{key} has no {family} entry in the current "
+                                f"summary")
                     continue
                 limit = base_times["incremental"] * (1.0 + tolerance)
                 if times["incremental"] > limit:
@@ -176,9 +181,8 @@ def main(argv=None) -> int:
     regressions = list(compare_summaries(current_summary, baseline_summary,
                                          args.tolerance, args.compare_times))
     checked = [key for key in baseline_summary
-               if key in current_summary and
-               (_classify(key) is not None
-                or (key in TIME_KEYS and args.compare_times))]
+               if _classify(key) is not None
+               or (key in TIME_KEYS and args.compare_times)]
     for key, message in regressions:
         print(f"REGRESSION: {message}", file=sys.stderr)
     print(f"checked {len(checked)} summary metrics against "
