@@ -24,7 +24,10 @@ The cooperative service's speedup is *reuse*, not parallelism: repeat jobs
 serve their bound passes and leaf LPs from the warm fingerprint bundle.
 The threaded transport adds parallelism on top — its speedup over
 cooperative is reported per run together with ``cpu_count``, since it
-cannot exceed 1.0x on a single-core host.  Every job's verdict, node
+cannot exceed 1.0x on a single-core host.  Transport figures are medians
+over three timed rounds that follow one untimed warm-up round, with the
+lead transport rotating between rounds, so a one-off cost paid by whichever
+transport runs first does not skew the ratios.  Every job's verdict, node
 charges and counterexample are gated for equality with its sequential-cold
 run on *every* transport, and the report includes throughput (jobs/s and
 speedup over sequential), latency percentiles (p50/p95/p99 of per-job
@@ -49,6 +52,7 @@ import argparse
 import asyncio
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -84,6 +88,10 @@ POOL_SIZES = (1, 2, 4)
 TRANSPORTS = ("cooperative", "threaded", "process", "async")
 #: Workers for the transport comparison (jobs shard across all of them).
 TRANSPORT_POOL_SIZE = 4
+#: Timed rounds of the transport comparison, after one untimed warm-up
+#: round; each round starts with a different transport and every reported
+#: transport figure is the median over the rounds.
+TRANSPORT_ROUNDS = 3
 
 #: Root of every derived per-job seed (see :func:`_job_rng`).
 BENCH_SEED = 8
@@ -330,6 +338,48 @@ def bench_transport(jobs, max_nodes: int, transport: str,
     return row
 
 
+def bench_transports(jobs, max_nodes: int, sequential: Dict) -> List[Dict]:
+    """Every transport over warm-up plus :data:`TRANSPORT_ROUNDS` rounds.
+
+    The warm-up round pays the one-off costs (imports, first worker
+    processes) that would otherwise land on whichever transport ran first.
+    Round ``r`` of the timed ones runs the transports rotated by ``r``, so
+    the lead position moves.  Each row holds the transport's median time,
+    throughput and latencies; ``speedup_over_cooperative`` is the median of
+    the per-round throughput ratios to the cooperative run of the same
+    round.  Verdict equality must hold in every round, and retries, crashes
+    and downgrades are summed over all of them.
+    """
+    for transport in TRANSPORTS:
+        bench_transport(jobs, max_nodes, transport, sequential)
+    rounds: Dict[str, List[Dict]] = {transport: [] for transport in TRANSPORTS}
+    for index in range(TRANSPORT_ROUNDS):
+        shift = index % len(TRANSPORTS)
+        for transport in TRANSPORTS[shift:] + TRANSPORTS[:shift]:
+            rounds[transport].append(
+                bench_transport(jobs, max_nodes, transport, sequential))
+    rows = []
+    for transport, runs in rounds.items():
+        row = {key: statistics.median([run[key] for run in runs])
+               for key in ("total_seconds", "throughput_jobs_per_sec",
+                           "latency_p50", "latency_p95")}
+        row["speedup_over_cooperative"] = statistics.median([
+            run["throughput_jobs_per_sec"] / cooperative["throughput_jobs_per_sec"]
+            for run, cooperative in zip(runs, rounds["cooperative"])])
+        row.update({
+            "transport": transport,
+            "pool_size": TRANSPORT_POOL_SIZE,
+            "rounds": len(runs),
+            "verdicts_identical": all(run["verdicts_identical"] for run in runs),
+        })
+        for key in ("job_retries", "worker_crashes", "worker_restarts",
+                    "transport_downgrades"):
+            if key in runs[0]:
+                row[key] = sum(run[key] for run in runs)
+        rows.append(row)
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -350,11 +400,9 @@ def main(argv=None) -> int:
     transport_max_nodes = 24 if smoke else 64
     transport_sequential = bench_sequential(transport_jobs,
                                             transport_max_nodes)
-    transport_rows = [bench_transport(transport_jobs, transport_max_nodes,
-                                      transport, transport_sequential)
-                      for transport in TRANSPORTS]
+    transport_rows = bench_transports(transport_jobs, transport_max_nodes,
+                                      transport_sequential)
     by_transport = {row["transport"]: row for row in transport_rows}
-    cooperative_tput = by_transport["cooperative"]["throughput_jobs_per_sec"]
 
     summary = {
         "smoke": smoke,
@@ -382,15 +430,13 @@ def main(argv=None) -> int:
         # machine-dependent — gate it only where cpu_count allows it.
         "transport_verdicts_identical": all(row["verdicts_identical"]
                                             for row in transport_rows),
+        # Medians of per-round ratios (see :func:`bench_transports`).
         "threaded_speedup_over_cooperative": (
-            by_transport["threaded"]["throughput_jobs_per_sec"]
-            / cooperative_tput if cooperative_tput else 0.0),
+            by_transport["threaded"]["speedup_over_cooperative"]),
         "process_speedup_over_cooperative": (
-            by_transport["process"]["throughput_jobs_per_sec"]
-            / cooperative_tput if cooperative_tput else 0.0),
+            by_transport["process"]["speedup_over_cooperative"]),
         "async_speedup_over_cooperative": (
-            by_transport["async"]["throughput_jobs_per_sec"]
-            / cooperative_tput if cooperative_tput else 0.0),
+            by_transport["async"]["speedup_over_cooperative"]),
         # Robustness: a healthy bench run needs no retries and loses no
         # workers — nonzero values mean the run only passed by retrying.
         "total_job_retries": sum(row["job_retries"]

@@ -26,33 +26,24 @@ call.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Sequence
-
-import numpy as np
+from typing import Deque, Optional
 
 from repro.bab.domain import BaBNode, BaBStatistics
-from repro.bab.heuristics import BranchingContext, BranchingHeuristic, make_heuristic
+from repro.bab.heuristics import BranchingHeuristic, make_heuristic
 from repro.bounds.alpha_crown import AlphaCrownConfig
 from repro.bounds.cache import LpCache
-from repro.bounds.splits import ReluSplit, SplitAssignment
-from repro.engine.driver import DriverVerdict, FrontierDriver, \
-    LinearWorkSource, Neuron
+from repro.bounds.splits import SplitAssignment
+from repro.engine.driver import DriverVerdict, EngineRun, FrontierDriver, \
+    LinearWorkSource, root_verdict
 from repro.nn.network import Network
 from repro.specs.properties import Specification
 from repro.utils.timing import Budget
 from repro.utils.validation import require
-from repro.verifiers.appver import ApproximateVerifier, AppVerOutcome
-from repro.verifiers.milp import (
-    LEAF_FALSIFIED,
-    LEAF_VERIFIED,
-    classify_leaf_optimum,
-    problem_fingerprint,
-    solve_leaf_lp_batch,
-)
+from repro.verifiers.appver import ApproximateVerifier
+from repro.verifiers.milp import shared_cache_fingerprint
 from repro.verifiers.result import (
     CompletedRun,
     VerificationResult,
-    VerificationStatus,
     Verifier,
     VerifierRun,
     make_budget,
@@ -62,158 +53,35 @@ from repro.verifiers.result import (
 class QueueFrontierSource(LinearWorkSource):
     """A FIFO/LIFO queue of BaB sub-problems as a work source.
 
-    Pops record expansion statistics; budget starvation pushes the popped
-    node back to the *front* of its exploration order (undoing the pop's
-    statistics) so the unresolved sub-problem keeps the queue alive — the
-    TIMEOUT-not-VERIFIED invariants live in
-    :class:`~repro.engine.driver.LinearWorkSource`.
+    Budget starvation pushes the popped node back to the *front* of its
+    exploration order so the unresolved sub-problem keeps the queue alive —
+    the TIMEOUT-not-VERIFIED invariants, the statistics and every other
+    hook live in :class:`~repro.engine.driver.LinearWorkSource`.
     """
 
-    def __init__(self, root: BaBNode, exploration: str,
-                 appver: ApproximateVerifier, heuristic: BranchingHeuristic,
-                 spec: Specification, statistics: BaBStatistics, budget: Budget,
-                 lp_cache: LpCache, lp_leaf_refinement: bool,
-                 root_bound: float,
-                 lp_fingerprint: Optional[str] = None) -> None:
-        super().__init__(root_bound)
-        self.queue: Deque[BaBNode] = deque([root])
+    def __init__(self, exploration: str, root: BaBNode, **common) -> None:
         self.exploration = exploration
-        self.appver = appver
-        self.heuristic = heuristic
-        self.spec = spec
-        self.statistics = statistics
-        self.budget = budget
-        self.lp_cache = lp_cache
-        self.lp_fingerprint = lp_fingerprint
-        self.lp_leaf_refinement = lp_leaf_refinement
+        self.queue: Deque[BaBNode] = deque()
+        super().__init__(root, **common)
 
-    # -- gathering -------------------------------------------------------------
     def has_work(self) -> bool:
         """Whether any unresolved sub-problem is still queued."""
         return bool(self.queue)
 
     def _pop(self) -> BaBNode:
-        """Pop in exploration order, recording expansion statistics."""
-        node = self.queue.popleft() if self.exploration == "bfs" else self.queue.pop()
-        self.statistics.nodes_expanded += 1
-        self.statistics.record_depth(node.depth)
-        return node
+        """Pop in exploration order (front for BFS, back for DFS)."""
+        return self.queue.popleft() if self.exploration == "bfs" else self.queue.pop()
+
+    def _push(self, node: BaBNode) -> None:
+        """Queue a newly bounded sub-problem at the back."""
+        self.queue.append(node)
 
     def _reinsert(self, node: BaBNode) -> None:
-        """Undo a pop: restore the statistics and the exploration order."""
-        self.statistics.nodes_expanded -= 1
-        self.statistics.nodes_split -= 1
+        """Undo a pop: restore the node to the end it was popped from."""
         if self.exploration == "bfs":
             self.queue.appendleft(node)
         else:
             self.queue.append(node)
-
-    def select_neuron(self, node: BaBNode) -> Optional[Neuron]:
-        """Pick the node's branching neuron and record split statistics."""
-        context = BranchingContext(network=self.appver.lowered,
-                                   spec=self.spec.output_spec,
-                                   report=node.outcome.report, splits=node.splits,
-                                   evaluate_split=self._probe)
-        neuron = self.heuristic.select(context)
-        if neuron is not None:
-            node.branch_neuron = neuron
-            self.statistics.nodes_split += 1
-        return neuron
-
-    def child_splits(self, node: BaBNode, neuron: Neuron,
-                     phases: Sequence[int]) -> List[SplitAssignment]:
-        """The children's split assignments for the chosen neuron."""
-        return [node.child_splits(ReluSplit(neuron[0], neuron[1], phase))
-                for phase in phases]
-
-    def item_splits(self, node: BaBNode) -> SplitAssignment:
-        """The node's assignment — the parent identity of its children."""
-        return node.splits
-
-    # -- batched exact leaf resolution -----------------------------------------
-    def resolve_leaves(self, nodes: List[BaBNode]) -> Optional[DriverVerdict]:
-        """Resolve decided leaves with one batched, cached leaf-LP call."""
-        if not self.lp_leaf_refinement:
-            self.has_unknown_leaf = True
-            return None
-        optima = solve_leaf_lp_batch(
-            self.appver.lowered, self.spec.input_box, self.spec.output_spec,
-            [(node.splits, node.outcome.report) for node in nodes],
-            cache=self.lp_cache, fingerprint=self.lp_fingerprint,
-            timings=self.appver.timings)
-        for optimum in optima:
-            self.statistics.leaves_lp_resolved += 1
-            verdict, counterexample = classify_leaf_optimum(optimum, self.spec,
-                                                            self.appver.network)
-            if verdict == LEAF_VERIFIED:
-                self.statistics.nodes_verified += 1
-            elif verdict == LEAF_FALSIFIED:
-                return DriverVerdict(VerificationStatus.FALSIFIED,
-                                     counterexample=counterexample)
-            else:
-                self.has_unknown_leaf = True
-        return None
-
-    # -- attachment ------------------------------------------------------------
-    def attach(self, node: BaBNode, phase: int, splits: SplitAssignment,
-               outcome: AppVerOutcome) -> Optional[DriverVerdict]:
-        """Attach one bounded child; queue it unless settled by its bound."""
-        child = BaBNode(splits, depth=node.depth + 1, outcome=outcome, parent=node)
-        node.children.append(child)
-        if outcome.falsified:
-            return DriverVerdict(VerificationStatus.FALSIFIED,
-                                 counterexample=outcome.candidate,
-                                 bound=outcome.p_hat)
-        if outcome.verified or outcome.report.infeasible:
-            self.statistics.nodes_verified += 1
-            return None
-        self.queue.append(child)
-        return None
-
-    # -- helpers ---------------------------------------------------------------
-    def _probe(self, splits: SplitAssignment) -> float:
-        self.budget.charge_node()
-        return self.appver.evaluate(splits).p_hat
-
-
-class _BaselineRun(VerifierRun):
-    """A resumable BaB-baseline run: one driver round per :meth:`step`."""
-
-    def __init__(self, verifier: "BaBBaselineVerifier", budget: Budget,
-                 appver: ApproximateVerifier, statistics: BaBStatistics,
-                 lp_cache: LpCache, source: QueueFrontierSource,
-                 driver: FrontierDriver) -> None:
-        self.verifier = verifier
-        self.budget = budget
-        self.appver = appver
-        self.statistics = statistics
-        self.lp_cache = lp_cache
-        self.source = source
-        self.driver = driver
-        self._run = driver.start(source, budget)
-        self._result: Optional[VerificationResult] = None
-
-    def _finish(self, verdict: DriverVerdict) -> VerificationResult:
-        return self.verifier._finish(
-            verdict.status, self.budget, self.appver, self.statistics,
-            self.lp_cache, counterexample=verdict.counterexample,
-            bound=verdict.bound)
-
-    def step(self) -> Optional[VerificationResult]:
-        """Advance one frontier round; the final result once finished."""
-        if self._result is not None:
-            return self._result
-        verdict = self._run.step()
-        if verdict is None:
-            return None
-        self._result = self._finish(verdict)
-        return self._result
-
-    def interrupt(self) -> VerificationResult:
-        """Finish early with the queue source's TIMEOUT (root bound kept)."""
-        if self._result is None:
-            self._result = self._finish(self.source.timeout())
-        return self._result
 
 
 class BaBBaselineVerifier(Verifier):
@@ -228,7 +96,7 @@ class BaBBaselineVerifier(Verifier):
     name = "BaB-baseline"
 
     def __init__(self, heuristic: str = "deepsplit", bound_method: str = "deeppoly",
-                 exploration: str = "bfs", lp_leaf_refinement: bool = True,
+                 exploration: str = "bfs",
                  alpha_config: Optional[AlphaCrownConfig] = None,
                  frontier_size: int = 1,
                  lp_cache: Optional[LpCache] = None,
@@ -240,7 +108,6 @@ class BaBBaselineVerifier(Verifier):
         self.heuristic_name = heuristic
         self.bound_method = bound_method
         self.exploration = exploration
-        self.lp_leaf_refinement = lp_leaf_refinement
         self.alpha_config = alpha_config
         self.frontier_size = frontier_size
         self.lp_cache = lp_cache
@@ -261,33 +128,26 @@ class BaBBaselineVerifier(Verifier):
                                      incremental=self.incremental,
                                      bound_cache=self.bound_cache)
         heuristic = self._make_heuristic()
-        statistics = BaBStatistics()
         lp_cache = self.lp_cache if self.lp_cache is not None else LpCache()
 
         root_outcome = appver.evaluate()
         budget.charge_node()
-        if root_outcome.verified or root_outcome.report.infeasible:
-            return CompletedRun(self._finish(
-                VerificationStatus.VERIFIED, budget, appver, statistics,
-                lp_cache, bound=root_outcome.p_hat))
-        if root_outcome.falsified:
-            return CompletedRun(self._finish(
-                VerificationStatus.FALSIFIED, budget, appver, statistics,
-                lp_cache, counterexample=root_outcome.candidate,
-                bound=root_outcome.p_hat))
+        verdict = root_verdict(root_outcome)
+        if verdict is not None:
+            return CompletedRun(self._finish(verdict, budget, appver, lp_cache,
+                                             BaBStatistics()))
 
-        root = BaBNode(SplitAssignment.empty(), depth=0, outcome=root_outcome)
-        # Fingerprint-scoping only matters for an externally shared cache.
-        lp_fingerprint = (problem_fingerprint(appver.lowered, spec.input_box,
-                                              spec.output_spec)
-                          if self.lp_cache is not None else None)
-        source = QueueFrontierSource(root, self.exploration, appver, heuristic,
-                                     spec, statistics, budget, lp_cache,
-                                     self.lp_leaf_refinement, root_outcome.p_hat,
-                                     lp_fingerprint=lp_fingerprint)
+        source = QueueFrontierSource(
+            self.exploration, BaBNode(SplitAssignment.empty(), 0, root_outcome),
+            appver=appver, heuristic=heuristic, spec=spec, budget=budget,
+            lp_cache=lp_cache,
+            lp_fingerprint=shared_cache_fingerprint(self.lp_cache, appver.lowered,
+                                                    spec),
+            probe=True)
         driver = FrontierDriver(appver, self.frontier_size)
-        return _BaselineRun(self, budget, appver, statistics, lp_cache,
-                            source, driver)
+        return EngineRun(driver.start(source, budget),
+                         lambda verdict: self._finish(verdict, budget, appver,
+                                                      lp_cache, source.statistics))
 
     def verify(self, network: Network, spec: Specification,
                budget: Optional[Budget] = None) -> VerificationResult:
@@ -295,11 +155,9 @@ class BaBBaselineVerifier(Verifier):
         return self.start_run(network, spec, budget).run_to_completion()
 
     # -- helpers --------------------------------------------------------------
-    def _finish(self, status: VerificationStatus, budget: Budget,
-                appver: ApproximateVerifier, statistics: BaBStatistics,
-                lp_cache: LpCache,
-                counterexample: Optional[np.ndarray] = None,
-                bound: Optional[float] = None) -> VerificationResult:
+    def _finish(self, verdict: DriverVerdict, budget: Budget,
+                appver: ApproximateVerifier, lp_cache: LpCache,
+                statistics: BaBStatistics) -> VerificationResult:
         statistics.tree_size = appver.num_calls
         extras = statistics.as_dict()
         extras["frontier_size"] = self.frontier_size
@@ -308,12 +166,12 @@ class BaBBaselineVerifier(Verifier):
         extras["lp_cache"] = lp_cache.stats.as_dict()
         extras["timings"] = appver.timings.as_dict()
         return VerificationResult(
-            status=status,
+            status=verdict.status,
             verifier=self.name,
             elapsed_seconds=budget.elapsed_seconds,
             nodes_explored=appver.num_calls,
             tree_size=appver.num_calls,
-            counterexample=counterexample,
-            bound=bound,
+            counterexample=verdict.counterexample,
+            bound=verdict.bound,
             extras=extras,
         )

@@ -1,66 +1,26 @@
-"""BaB tree nodes (sub-problems) shared by the baseline BaB verifier.
+"""BaB sub-problem records and statistics shared by the linear BaB verifiers.
 
-Each node corresponds to a sub-problem Γ of the original verification
-problem: the conjunction of the original input box with a sequence of ReLU
-phase constraints.  The node stores the AppVer outcome obtained when it was
-created, which is all that later exploration decisions need.
+Each record is a sub-problem Γ of the original verification problem: the
+conjunction of the original input box with a set of ReLU phase constraints,
+together with the AppVer outcome obtained when it was bounded, which is all
+that later exploration decisions need.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.bounds.splits import ReluSplit, SplitAssignment
+from repro.bounds.splits import SplitAssignment
 from repro.verifiers.appver import AppVerOutcome
 
 
 @dataclass
 class BaBNode:
-    """One sub-problem in the BaB tree."""
+    """One queued sub-problem: its splits, depth and bound outcome."""
 
     splits: SplitAssignment
     depth: int
     outcome: AppVerOutcome
-    parent: Optional["BaBNode"] = None
-    #: The ReLU neuron this node's children were split on (set at expansion).
-    branch_neuron: Optional[Tuple[int, int]] = None
-    children: List["BaBNode"] = field(default_factory=list)
-
-    @property
-    def p_hat(self) -> float:
-        return self.outcome.p_hat
-
-    @property
-    def is_root(self) -> bool:
-        return self.parent is None
-
-    @property
-    def verified(self) -> bool:
-        return self.outcome.verified or self.outcome.report.infeasible
-
-    @property
-    def falsified(self) -> bool:
-        return self.outcome.falsified
-
-    def child_splits(self, split: ReluSplit) -> SplitAssignment:
-        """The split assignment of the child produced by ``split``."""
-        return self.splits.with_split(split)
-
-    def path_from_root(self) -> List["BaBNode"]:
-        """Nodes from the root down to (and including) this node."""
-        path: List[BaBNode] = []
-        node: Optional[BaBNode] = self
-        while node is not None:
-            path.append(node)
-            node = node.parent
-        return list(reversed(path))
-
-    def __repr__(self) -> str:
-        return (f"BaBNode(depth={self.depth}, p_hat={self.p_hat:.4f}, "
-                f"splits={len(self.splits)})")
 
 
 @dataclass

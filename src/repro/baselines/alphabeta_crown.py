@@ -33,29 +33,22 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-import numpy as np
-
-from repro.bab.heuristics import BranchingContext, BranchingHeuristic, make_heuristic
+from repro.bab.domain import BaBNode
+from repro.bab.heuristics import make_heuristic
 from repro.bounds.alpha_crown import AlphaCrownConfig
 from repro.bounds.cache import LpCache
-from repro.bounds.splits import ReluSplit, SplitAssignment
-from repro.engine.driver import DriverVerdict, FrontierDriver, \
-    LinearWorkSource, Neuron
+from repro.bounds.splits import SplitAssignment
+from repro.engine.driver import DriverVerdict, EngineRun, FrontierDriver, \
+    LinearWorkSource, root_verdict
 from repro.nn.network import Network
 from repro.specs.properties import Specification
 from repro.utils.timing import Budget
 from repro.utils.validation import require
-from repro.verifiers.appver import ApproximateVerifier, AppVerOutcome
+from repro.verifiers.appver import ApproximateVerifier
 from repro.verifiers.attack import AttackConfig, pgd_attack
-from repro.verifiers.milp import (
-    LEAF_FALSIFIED,
-    LEAF_VERIFIED,
-    classify_leaf_optimum,
-    problem_fingerprint,
-    solve_leaf_lp_batch,
-)
+from repro.verifiers.milp import shared_cache_fingerprint
 from repro.verifiers.result import (
     CompletedRun,
     VerificationResult,
@@ -65,137 +58,41 @@ from repro.verifiers.result import (
     make_budget,
 )
 
-#: A heap entry: (bound, tie-break counter, splits, outcome).
-HeapEntry = Tuple[float, int, SplitAssignment, AppVerOutcome]
+#: A heap entry: (bound, tie-break counter, sub-problem).
+HeapEntry = Tuple[float, int, BaBNode]
 
 
 class HeapFrontierSource(LinearWorkSource):
     """A best-first (most-violated-bound) heap as a work source.
 
     Budget starvation pushes the popped entry straight back onto the heap
-    (its bound key is unchanged), keeping the unresolved sub-problem alive;
-    the TIMEOUT-not-VERIFIED invariants live in
-    :class:`~repro.engine.driver.LinearWorkSource`.
+    (its bound key and tie-break are unchanged), keeping the unresolved
+    sub-problem alive; the TIMEOUT-not-VERIFIED invariants and every other
+    hook live in :class:`~repro.engine.driver.LinearWorkSource`.
     """
 
-    def __init__(self, root_entry: HeapEntry, appver: ApproximateVerifier,
-                 heuristic: BranchingHeuristic, spec: Specification,
-                 budget: Budget, lp_cache: LpCache, lp_leaf_refinement: bool,
-                 root_bound: float,
-                 lp_fingerprint: Optional[str] = None) -> None:
-        super().__init__(root_bound)
-        self.heap: List[HeapEntry] = [root_entry]
-        self.appver = appver
-        self.heuristic = heuristic
-        self.spec = spec
-        self.budget = budget
-        self.lp_cache = lp_cache
-        self.lp_fingerprint = lp_fingerprint
-        self.lp_leaf_refinement = lp_leaf_refinement
-        self.counter = itertools.count(1)
-        self.lp_leaves = 0
+    def __init__(self, root: BaBNode, **common) -> None:
+        self.heap: List[HeapEntry] = []
+        self.counter = itertools.count()
+        self._popped: Optional[HeapEntry] = None
+        super().__init__(root, **common)
 
-    # -- gathering -------------------------------------------------------------
     def has_work(self) -> bool:
         """Whether any unresolved sub-problem is still on the heap."""
         return bool(self.heap)
 
-    def _pop(self) -> HeapEntry:
+    def _pop(self) -> BaBNode:
         """Pop the most-violated sub-problem."""
-        return heapq.heappop(self.heap)
+        self._popped = heapq.heappop(self.heap)
+        return self._popped[2]
 
-    def _reinsert(self, entry: HeapEntry) -> None:
-        """Undo a pop: the entry's bound key makes it the next pop again."""
-        heapq.heappush(self.heap, entry)
+    def _push(self, node: BaBNode) -> None:
+        """Push a sub-problem keyed by its bound (ties in push order)."""
+        heapq.heappush(self.heap, (node.outcome.p_hat, next(self.counter), node))
 
-    def select_neuron(self, entry: HeapEntry) -> Optional[Neuron]:
-        """Pick the entry's branching neuron (no look-ahead probing)."""
-        _, _, splits, outcome = entry
-        context = BranchingContext(network=self.appver.lowered,
-                                   spec=self.spec.output_spec,
-                                   report=outcome.report, splits=splits)
-        return self.heuristic.select(context)
-
-    def child_splits(self, entry: HeapEntry, neuron: Neuron,
-                     phases: Sequence[int]) -> List[SplitAssignment]:
-        """The children's split assignments for the chosen neuron."""
-        splits = entry[2]
-        return [splits.with_split(ReluSplit(neuron[0], neuron[1], phase))
-                for phase in phases]
-
-    def item_splits(self, entry: HeapEntry) -> SplitAssignment:
-        """The entry's assignment — the parent identity of its children."""
-        return entry[2]
-
-    # -- batched exact leaf resolution -----------------------------------------
-    def resolve_leaves(self, entries: List[HeapEntry]) -> Optional[DriverVerdict]:
-        """Resolve decided leaves with one batched, cached leaf-LP call."""
-        if not self.lp_leaf_refinement:
-            self.has_unknown_leaf = True
-            return None
-        optima = solve_leaf_lp_batch(
-            self.appver.lowered, self.spec.input_box, self.spec.output_spec,
-            [(entry[2], entry[3].report) for entry in entries],
-            cache=self.lp_cache, fingerprint=self.lp_fingerprint,
-            timings=self.appver.timings)
-        for optimum in optima:
-            self.lp_leaves += 1
-            verdict, counterexample = classify_leaf_optimum(optimum, self.spec,
-                                                            self.appver.network)
-            if verdict == LEAF_FALSIFIED:
-                return DriverVerdict(VerificationStatus.FALSIFIED,
-                                     counterexample=counterexample)
-            if verdict != LEAF_VERIFIED:
-                self.has_unknown_leaf = True
-        return None
-
-    # -- attachment ------------------------------------------------------------
-    def attach(self, entry: HeapEntry, phase: int, splits: SplitAssignment,
-               outcome: AppVerOutcome) -> Optional[DriverVerdict]:
-        """Heap-push one bounded child unless its bound settles it."""
-        if outcome.falsified:
-            return DriverVerdict(VerificationStatus.FALSIFIED,
-                                 counterexample=outcome.candidate,
-                                 bound=outcome.p_hat)
-        if outcome.verified or outcome.report.infeasible:
-            return None
-        heapq.heappush(self.heap, (outcome.p_hat, next(self.counter),
-                                   splits, outcome))
-        return None
-
-
-class _AlphaBetaRun(VerifierRun):
-    """A preemptible αβ-CROWN-style BaB run (stage 3 of ``start_run``)."""
-
-    def __init__(self, verifier: "AlphaBetaCrownVerifier", budget: Budget,
-                 lp_cache: LpCache, source: HeapFrontierSource,
-                 driver: FrontierDriver,
-                 sub_appver: ApproximateVerifier) -> None:
-        self.verifier = verifier
-        self.budget = budget
-        self.lp_cache = lp_cache
-        self.source = source
-        self.driver = driver
-        self.sub_appver = sub_appver
-        self._run = driver.start(source, budget)
-
-    def _finish(self, verdict: DriverVerdict) -> VerificationResult:
-        return self.verifier._finish(
-            verdict.status, self.budget, self.budget.nodes, self.lp_cache,
-            counterexample=verdict.counterexample,
-            bound=verdict.bound, lp_leaves=self.source.lp_leaves,
-            appver=self.sub_appver)
-
-    def step(self) -> Optional[VerificationResult]:
-        """Advance one frontier round; the final result once decided."""
-        verdict = self._run.step()
-        if verdict is None:
-            return None
-        return self._finish(verdict)
-
-    def interrupt(self) -> VerificationResult:
-        """Stop early, reporting TIMEOUT with the best bound so far."""
-        return self._finish(self.source.timeout())
+    def _reinsert(self, node: BaBNode) -> None:
+        """Undo the latest pop: its entry becomes the next pop again."""
+        heapq.heappush(self.heap, self._popped)
 
 
 class AlphaBetaCrownVerifier(Verifier):
@@ -210,7 +107,6 @@ class AlphaBetaCrownVerifier(Verifier):
     def __init__(self, heuristic: str = "deepsplit",
                  attack_config: Optional[AttackConfig] = None,
                  alpha_config: Optional[AlphaCrownConfig] = None,
-                 lp_leaf_refinement: bool = True,
                  frontier_size: int = 1,
                  lp_cache: Optional[LpCache] = None,
                  incremental: bool = True) -> None:
@@ -218,7 +114,6 @@ class AlphaBetaCrownVerifier(Verifier):
         self.heuristic_name = heuristic
         self.attack_config = attack_config or AttackConfig(steps=25, restarts=3)
         self.alpha_config = alpha_config or AlphaCrownConfig(iterations=6)
-        self.lp_leaf_refinement = lp_leaf_refinement
         self.frontier_size = frontier_size
         self.lp_cache = lp_cache
         self.incremental = incremental
@@ -247,9 +142,10 @@ class AlphaBetaCrownVerifier(Verifier):
         budget.charge_node()  # the attack costs roughly one bound computation
         if attack.is_counterexample:
             return CompletedRun(self._finish(
-                VerificationStatus.FALSIFIED, budget, 1, lp_cache,
-                counterexample=attack.best_input,
-                bound=attack.best_margin))
+                DriverVerdict(VerificationStatus.FALSIFIED,
+                              counterexample=attack.best_input,
+                              bound=attack.best_margin),
+                budget, lp_cache, tree_size=1))
 
         # Stage 2: α-CROWN bound on the root problem.
         appver = ApproximateVerifier(network, spec, "alpha-crown",
@@ -257,49 +153,42 @@ class AlphaBetaCrownVerifier(Verifier):
         root_outcome = appver.evaluate()
         root_cost = 2 + 3 * self.alpha_config.iterations
         budget.charge_node(root_cost)
-        if root_outcome.verified or root_outcome.report.infeasible:
-            return CompletedRun(self._finish(
-                VerificationStatus.VERIFIED, budget, budget.nodes,
-                lp_cache, bound=root_outcome.p_hat))
-        if root_outcome.falsified:
-            return CompletedRun(self._finish(
-                VerificationStatus.FALSIFIED, budget, budget.nodes,
-                lp_cache, counterexample=root_outcome.candidate,
-                bound=root_outcome.p_hat))
+        verdict = root_verdict(root_outcome)
+        if verdict is not None:
+            return CompletedRun(self._finish(verdict, budget, lp_cache,
+                                             tree_size=budget.nodes))
 
         # Stage 3: best-first BaB ordered by the bound (most violated first)
         # on the shared frontier engine, using the cheaper DeepPoly back-end
         # for sub-problems.
         sub_appver = ApproximateVerifier(network, spec, "deeppoly",
                                          incremental=self.incremental)
-        root_entry: HeapEntry = (root_outcome.p_hat, 0,
-                                 SplitAssignment.empty(), root_outcome)
-        # Fingerprint-scoping only matters for an externally shared cache.
-        lp_fingerprint = (problem_fingerprint(sub_appver.lowered, spec.input_box,
-                                              spec.output_spec)
-                          if self.lp_cache is not None else None)
-        source = HeapFrontierSource(root_entry, sub_appver, heuristic, spec,
-                                    budget, lp_cache, self.lp_leaf_refinement,
-                                    root_outcome.p_hat,
-                                    lp_fingerprint=lp_fingerprint)
+        source = HeapFrontierSource(
+            BaBNode(SplitAssignment.empty(), 0, root_outcome),
+            appver=sub_appver, heuristic=heuristic, spec=spec, budget=budget,
+            lp_cache=lp_cache,
+            lp_fingerprint=shared_cache_fingerprint(self.lp_cache,
+                                                    sub_appver.lowered, spec),
+            probe=False)
         driver = FrontierDriver(sub_appver, self.frontier_size)
-        return _AlphaBetaRun(self, budget, lp_cache, source, driver, sub_appver)
+        return EngineRun(driver.start(source, budget),
+                         lambda verdict: self._finish(
+                             verdict, budget, lp_cache, tree_size=budget.nodes,
+                             lp_leaves=source.statistics.leaves_lp_resolved,
+                             appver=sub_appver))
 
     # -- helpers ---------------------------------------------------------------
-    def _finish(self, status: VerificationStatus, budget: Budget, nodes: int,
-                lp_cache: LpCache,
-                counterexample: Optional[np.ndarray] = None,
-                bound: Optional[float] = None,
-                lp_leaves: int = 0,
+    def _finish(self, verdict: DriverVerdict, budget: Budget, lp_cache: LpCache,
+                tree_size: int, lp_leaves: int = 0,
                 appver: Optional[ApproximateVerifier] = None) -> VerificationResult:
         return VerificationResult(
-            status=status,
+            status=verdict.status,
             verifier=self.name,
             elapsed_seconds=budget.elapsed_seconds,
             nodes_explored=budget.nodes,
-            tree_size=nodes,
-            counterexample=counterexample,
-            bound=bound,
+            tree_size=tree_size,
+            counterexample=verdict.counterexample,
+            bound=verdict.bound,
             extras={"heuristic": self.heuristic_name,
                     "alpha_iterations": self.alpha_config.iterations,
                     "frontier_size": self.frontier_size,

@@ -77,10 +77,6 @@ class BoundReport:
         return unstable
 
     @property
-    def num_unstable(self) -> int:
-        return len(self.unstable_neurons())
-
-    @property
     def verified(self) -> bool:
         """True when the bound alone proves the property on this sub-problem."""
         if self.infeasible:

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.bab.heuristics import BranchingContext, BranchingHeuristic, make_heuristic
 from repro.bounds.cache import LpCache
 from repro.bounds.splits import ReluSplit, SplitAssignment
@@ -44,7 +42,8 @@ from repro.core.mcts import (
     select_frontier,
 )
 from repro.core.potentiality import PotentialityScorer
-from repro.engine.driver import DriverVerdict, Neuron, WorkSource, FrontierDriver
+from repro.engine.driver import DriverVerdict, EngineRun, FrontierDriver, Neuron, \
+    WorkSource, root_verdict
 from repro.nn.network import Network
 from repro.specs.properties import Specification
 from repro.utils.timing import Budget
@@ -53,7 +52,7 @@ from repro.verifiers.milp import (
     LEAF_FALSIFIED,
     LEAF_VERIFIED,
     classify_leaf_optimum,
-    problem_fingerprint,
+    shared_cache_fingerprint,
     solve_leaf_lp_batch,
 )
 from repro.verifiers.result import (
@@ -121,8 +120,7 @@ class MctsFrontierSource(WorkSource):
     def begin_round(self, budget: Budget) -> bool:
         """Select the round's frontier by repeated virtual-loss UCB1 descent."""
         self._leaves = select_frontier(self.root, self.config.exploration,
-                                       self.config.frontier_size,
-                                       redescend=self.config.deep_redescent)
+                                       self.config.frontier_size)
         self._cursor = 0
         if not self._leaves:
             # Every reachable branch is verified.  Back-propagate -inf from
@@ -178,12 +176,6 @@ class MctsFrontierSource(WorkSource):
     # -- batched exact leaf resolution -----------------------------------------
     def resolve_leaves(self, leaves: List[MctsNode]) -> Optional[DriverVerdict]:
         """Resolve decided leaves with one batched, cached leaf-LP call."""
-        if not self.config.lp_leaf_refinement:
-            for leaf in leaves:
-                self.has_unknown_leaf = True
-                leaf.reward = float("-inf")
-                propagate_rewards(leaf.parent or leaf)
-            return None
         optima = solve_leaf_lp_batch(
             self.appver.lowered, self.spec.input_box, self.spec.output_spec,
             [(leaf.splits, leaf.outcome.report) for leaf in leaves],
@@ -259,50 +251,6 @@ class MctsFrontierSource(WorkSource):
         return self.appver.evaluate(splits).p_hat
 
 
-class _AbonnRun(VerifierRun):
-    """A resumable ABONN run: one driver round per :meth:`step`.
-
-    Owned by :meth:`AbonnVerifier.start_run`; stepping it to completion is
-    byte-identical to :meth:`AbonnVerifier.verify` (which is implemented on
-    top of it) — the setup, per-round charges, and the terminal ``_finish``
-    mapping all run the same code.
-    """
-
-    def __init__(self, verifier: "AbonnVerifier", appver: ApproximateVerifier,
-                 source: MctsFrontierSource, driver: FrontierDriver,
-                 budget: Budget, lp_cache: LpCache) -> None:
-        self.verifier = verifier
-        self.appver = appver
-        self.source = source
-        self.driver = driver
-        self.budget = budget
-        self.lp_cache = lp_cache
-        self._run = driver.start(source, budget)
-        self._result: Optional[VerificationResult] = None
-
-    def _finish(self, verdict: DriverVerdict) -> VerificationResult:
-        return self.verifier._finish(
-            verdict.status, self.appver, self.budget, self.lp_cache,
-            counterexample=verdict.counterexample, bound=verdict.bound,
-            max_depth=self.source.max_depth, lp_leaves=self.source.lp_leaves)
-
-    def step(self) -> Optional[VerificationResult]:
-        """Advance one frontier round; the final result once finished."""
-        if self._result is not None:
-            return self._result
-        verdict = self._run.step()
-        if verdict is None:
-            return None
-        self._result = self._finish(verdict)
-        return self._result
-
-    def interrupt(self) -> VerificationResult:
-        """Finish early with ABONN's budget-exhaustion (TIMEOUT) result."""
-        if self._result is None:
-            self._result = self._finish(self.source.timeout())
-        return self._result
-
-
 class AbonnVerifier(Verifier):
     """The paper's proposed verifier.
 
@@ -344,15 +292,9 @@ class AbonnVerifier(Verifier):
         root_outcome = appver.evaluate()
         budget.charge_node()
         scorer.observe(root_outcome.p_hat)
-        if root_outcome.verified or root_outcome.report.infeasible:
-            return CompletedRun(self._finish(
-                VerificationStatus.VERIFIED, appver, budget, lp_cache,
-                bound=root_outcome.p_hat, max_depth=0))
-        if root_outcome.falsified:
-            return CompletedRun(self._finish(
-                VerificationStatus.FALSIFIED, appver, budget, lp_cache,
-                counterexample=root_outcome.candidate,
-                bound=root_outcome.p_hat, max_depth=0))
+        verdict = root_verdict(root_outcome)
+        if verdict is not None:
+            return CompletedRun(self._finish(verdict, appver, budget, lp_cache))
 
         root = MctsNode(SplitAssignment.empty(), depth=0, outcome=root_outcome)
         root.reward = scorer.score(root_outcome.p_hat, False, 0)
@@ -361,17 +303,16 @@ class AbonnVerifier(Verifier):
         # round expands up to ``frontier_size`` leaves through one batched
         # AppVer call and resolves the round's decided leaves through one
         # batched, cached leaf-LP call.
-        # Fingerprint-scoping only matters for an externally shared cache —
-        # a fresh per-run cache never sees another problem's keys, so the
-        # weight digest is skipped for it.
-        lp_fingerprint = (problem_fingerprint(appver.lowered, spec.input_box,
-                                              spec.output_spec)
-                          if self.lp_cache is not None else None)
-        source = MctsFrontierSource(root, appver, heuristic, scorer, spec,
-                                    config, budget, lp_cache,
-                                    lp_fingerprint=lp_fingerprint)
+        source = MctsFrontierSource(
+            root, appver, heuristic, scorer, spec, config, budget, lp_cache,
+            lp_fingerprint=shared_cache_fingerprint(self.lp_cache, appver.lowered,
+                                                    spec))
         driver = FrontierDriver(appver, config.frontier_size)
-        return _AbonnRun(self, appver, source, driver, budget, lp_cache)
+        return EngineRun(driver.start(source, budget),
+                         lambda verdict: self._finish(
+                             verdict, appver, budget, lp_cache,
+                             max_depth=source.max_depth,
+                             lp_leaves=source.lp_leaves))
 
     def verify(self, network: Network, spec: Specification,
                budget: Optional[Budget] = None) -> VerificationResult:
@@ -379,25 +320,18 @@ class AbonnVerifier(Verifier):
         return self.start_run(network, spec, budget).run_to_completion()
 
     # -- helpers ----------------------------------------------------------------
-    def _make_child(self, parent: MctsNode, splits: SplitAssignment,
-                    outcome: AppVerOutcome, scorer: PotentialityScorer) -> MctsNode:
-        """Create one potentiality-scored child (kept as a testing seam)."""
-        return _score_child(parent, splits, outcome, scorer)
-
-    def _finish(self, status: VerificationStatus, appver: ApproximateVerifier,
-                budget: Budget, lp_cache: LpCache,
-                counterexample: Optional[np.ndarray] = None,
-                bound: Optional[float] = None, max_depth: int = 0,
+    def _finish(self, verdict: DriverVerdict, appver: ApproximateVerifier,
+                budget: Budget, lp_cache: LpCache, max_depth: int = 0,
                 lp_leaves: int = 0) -> VerificationResult:
-        """Map a terminal state to the verifier's result format."""
+        """Map a terminal verdict to the verifier's result format."""
         return VerificationResult(
-            status=status,
+            status=verdict.status,
             verifier=self.name,
             elapsed_seconds=budget.elapsed_seconds,
             nodes_explored=appver.num_calls,
             tree_size=appver.num_calls,
-            counterexample=counterexample,
-            bound=bound,
+            counterexample=verdict.counterexample,
+            bound=verdict.bound,
             extras={
                 "max_depth": max_depth,
                 "lambda": self.config.lam,

@@ -42,20 +42,6 @@ class AbonnConfig:
         values trade strict selection order for realised AppVer batch sizes
         that actually reach the batched back-end's throughput regime.
         Verdicts remain sound for every ``K``.
-    deep_redescent:
-        Keep filling the frontier when a UCB1 descent dead-ends: the dead
-        end is back-propagated (deeper virtual back-propagation) and the
-        descent retried, so sparser trees still realise large batches.  At
-        ``K=1`` this only merges the sequential loop's propagate-then-retry
-        rounds and changes no charge; disable to reproduce the PR-2
-        first-dead-end-stops behaviour exactly.
-    lp_leaf_refinement:
-        Resolve fully phase-decided leaves exactly with an LP (keeps the
-        procedure complete, mirroring the paper's GUROBI back-end).  All
-        decided leaves of one frontier round are solved through one
-        :func:`~repro.verifiers.milp.solve_leaf_lp_batch` call, memoised in
-        an :class:`~repro.bounds.cache.LpCache` keyed by the leaf's
-        canonical split assignment.
     use_bound_cache:
         Memoise per-layer pre-activation bounds (and whole reports) in the
         AppVer's split-aware bound cache.  Caching never changes verdicts —
@@ -80,8 +66,6 @@ class AbonnConfig:
     heuristic: str = "deepsplit"
     bound_method: str = "deeppoly"
     frontier_size: int = 1
-    deep_redescent: bool = True
-    lp_leaf_refinement: bool = True
     alpha_config: Optional[AlphaCrownConfig] = None
     use_bound_cache: bool = True
     bound_cache_size: int = DEFAULT_CACHE_SIZE

@@ -10,17 +10,21 @@ describing where sub-problems come from and where their children go.  See
 from repro.engine.driver import (
     DriverRun,
     DriverVerdict,
+    EngineRun,
     Expansion,
     FrontierDriver,
     LinearWorkSource,
     WorkSource,
+    root_verdict,
 )
 
 __all__ = [
     "DriverRun",
     "DriverVerdict",
+    "EngineRun",
     "Expansion",
     "FrontierDriver",
     "LinearWorkSource",
     "WorkSource",
+    "root_verdict",
 ]

@@ -52,18 +52,23 @@ Verdicts flow back as :class:`DriverVerdict` values; ``None`` from a hook
 always means "keep going".  The driver never constructs
 :class:`~repro.verifiers.result.VerificationResult` objects — mapping a
 verdict to the verifier's result format (extras, statistics) stays with the
-verifier.
+verifier, which hands that mapping to one :class:`EngineRun`; the root
+bound's own verdict is :func:`root_verdict` for every verifier.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bounds.splits import SplitAssignment
+from repro.bab.domain import BaBNode, BaBStatistics
+from repro.bab.heuristics import BranchingContext, BranchingHeuristic
+from repro.bounds.cache import LpCache
+from repro.bounds.splits import ReluSplit, SplitAssignment
+from repro.specs.properties import Specification
 from repro.utils.timing import Budget
 from repro.utils.validation import require
 from repro.verifiers.appver import (
@@ -71,7 +76,13 @@ from repro.verifiers.appver import (
     AppVerOutcome,
     affordable_phases,
 )
-from repro.verifiers.result import VerificationStatus
+from repro.verifiers.milp import (
+    LEAF_FALSIFIED,
+    LEAF_VERIFIED,
+    classify_leaf_optimum,
+    solve_leaf_lp_batch,
+)
+from repro.verifiers.result import VerificationResult, VerificationStatus, VerifierRun
 
 #: A ReLU neuron identified by ``(layer, unit)``.
 Neuron = Tuple[int, int]
@@ -90,6 +101,20 @@ class DriverVerdict:
     status: VerificationStatus
     counterexample: Optional[np.ndarray] = None
     bound: Optional[float] = None
+
+
+def root_verdict(outcome: AppVerOutcome) -> Optional[DriverVerdict]:
+    """The verdict the root bound settles on its own, or ``None`` to branch.
+
+    A verified bound or an infeasible root region gives VERIFIED, a real
+    counterexample FALSIFIED (with the candidate); both carry the root bound.
+    """
+    if outcome.verified or outcome.report.infeasible:
+        return DriverVerdict(VerificationStatus.VERIFIED, bound=outcome.p_hat)
+    if outcome.falsified:
+        return DriverVerdict(VerificationStatus.FALSIFIED,
+                             counterexample=outcome.candidate, bound=outcome.p_hat)
+    return None
 
 
 @dataclass
@@ -228,7 +253,7 @@ class WorkSource(abc.ABC):
 
 
 class LinearWorkSource(WorkSource):
-    """Shared behaviour of sources backed by a linear container (queue/heap).
+    """A BaB work source backed by a linear container (queue/heap).
 
     Unlike a tree source, a linear source *removes* items when popping, so
     the soundness-critical invariants live here exactly once: budget
@@ -236,14 +261,34 @@ class LinearWorkSource(WorkSource):
     sub-problem keeps the container non-empty and exhaustion surfaces as
     TIMEOUT — never as a spurious VERIFIED from a drained container — and
     every exhaustion verdict (``timeout``/``truncated``/``attach_exhausted``)
-    carries the root bound.  Subclasses provide ``_pop`` (which may also
-    record statistics) and ``_reinsert`` (which must undo them).
+    carries the root bound.
+
+    Items are :class:`~repro.bab.domain.BaBNode` records.  Every hook but
+    the container is shared: branching (with the FSB look-ahead ``probe``
+    when asked for), child splits, batched leaf-LP resolution, attachment
+    and the run's :class:`~repro.bab.domain.BaBStatistics`.  Subclasses
+    provide ``has_work``, ``_pop``, ``_push`` and ``_reinsert``; the
+    constructor pushes the root, so a subclass sets up its container before
+    calling it.
     """
 
-    def __init__(self, root_bound: float) -> None:
-        self.root_bound = root_bound
+    def __init__(self, root: BaBNode, appver: ApproximateVerifier,
+                 heuristic: BranchingHeuristic, spec: Specification,
+                 budget: Budget, lp_cache: LpCache,
+                 lp_fingerprint: Optional[str], probe: bool) -> None:
+        self.root_bound = root.outcome.p_hat
+        self.appver = appver
+        self.heuristic = heuristic
+        self.spec = spec
+        self.budget = budget
+        self.lp_cache = lp_cache
+        self.lp_fingerprint = lp_fingerprint
+        self.probe = probe
+        self.statistics = BaBStatistics()
         self.has_unknown_leaf = False
+        self._push(root)
 
+    # -- gathering -------------------------------------------------------------
     def next_item(self, budget: Budget, gathered: int, planned: int) -> Any:
         """Pop the next sub-problem, minding the wall clock before the pop."""
         if not self.has_work():
@@ -252,19 +297,81 @@ class LinearWorkSource(WorkSource):
             if gathered:
                 return None  # charge the gathered batch; TIMEOUT surfaces next round
             return self.timeout()
-        return self._pop()
+        node = self._pop()
+        self.statistics.nodes_expanded += 1
+        self.statistics.record_depth(node.depth)
+        return node
 
-    def push_back(self, item: Any, gathered: int) -> Optional[DriverVerdict]:
-        """Budget starvation: re-insert the item (TIMEOUT when round empty)."""
+    def select_neuron(self, node: BaBNode) -> Optional[Neuron]:
+        """Pick the node's branching neuron (probing children if ``probe``)."""
+        context = BranchingContext(network=self.appver.lowered,
+                                   spec=self.spec.output_spec,
+                                   report=node.outcome.report, splits=node.splits,
+                                   evaluate_split=self._probe if self.probe else None)
+        neuron = self.heuristic.select(context)
+        if neuron is not None:
+            self.statistics.nodes_split += 1
+        return neuron
+
+    def child_splits(self, node: BaBNode, neuron: Neuron,
+                     phases: Sequence[int]) -> List[SplitAssignment]:
+        """The children's split assignments for the chosen neuron."""
+        return [node.splits.with_split(ReluSplit(neuron[0], neuron[1], phase))
+                for phase in phases]
+
+    def item_splits(self, node: BaBNode) -> SplitAssignment:
+        """The node's assignment — the parent identity of its children."""
+        return node.splits
+
+    def push_back(self, node: BaBNode, gathered: int) -> Optional[DriverVerdict]:
+        """Budget starvation: re-insert the node (TIMEOUT when round empty)."""
         if not gathered:
             return self.timeout()
-        self._reinsert(item)
+        self.statistics.nodes_expanded -= 1
+        self.statistics.nodes_split -= 1
+        self._reinsert(node)
+        return None
+
+    # -- batched exact leaf resolution -----------------------------------------
+    def resolve_leaves(self, nodes: List[BaBNode]) -> Optional[DriverVerdict]:
+        """Resolve decided leaves with one batched, cached leaf-LP call."""
+        optima = solve_leaf_lp_batch(
+            self.appver.lowered, self.spec.input_box, self.spec.output_spec,
+            [(node.splits, node.outcome.report) for node in nodes],
+            cache=self.lp_cache, fingerprint=self.lp_fingerprint,
+            timings=self.appver.timings)
+        for optimum in optima:
+            self.statistics.leaves_lp_resolved += 1
+            verdict, counterexample = classify_leaf_optimum(optimum, self.spec,
+                                                            self.appver.network)
+            if verdict == LEAF_VERIFIED:
+                self.statistics.nodes_verified += 1
+            elif verdict == LEAF_FALSIFIED:
+                return DriverVerdict(VerificationStatus.FALSIFIED,
+                                     counterexample=counterexample)
+            else:
+                self.has_unknown_leaf = True
+        return None
+
+    # -- attachment ------------------------------------------------------------
+    def attach(self, node: BaBNode, phase: int, splits: SplitAssignment,
+               outcome: AppVerOutcome) -> Optional[DriverVerdict]:
+        """Attach one bounded child; push it unless settled by its bound."""
+        if outcome.falsified:
+            return DriverVerdict(VerificationStatus.FALSIFIED,
+                                 counterexample=outcome.candidate,
+                                 bound=outcome.p_hat)
+        if outcome.verified or outcome.report.infeasible:
+            self.statistics.nodes_verified += 1
+            return None
+        self._push(BaBNode(splits, node.depth + 1, outcome))
         return None
 
     def attach_exhausted(self) -> Optional[DriverVerdict]:
         """Wall-clock exhaustion between two children is a TIMEOUT."""
         return self.timeout()
 
+    # -- verdicts --------------------------------------------------------------
     def truncated(self) -> Optional[DriverVerdict]:
         """A truncated expansion means the budget is effectively spent."""
         return self.timeout()
@@ -279,13 +386,23 @@ class LinearWorkSource(WorkSource):
                   else VerificationStatus.VERIFIED)
         return DriverVerdict(status)
 
+    # -- helpers ---------------------------------------------------------------
+    def _probe(self, splits: SplitAssignment) -> float:
+        self.budget.charge_node()
+        return self.appver.evaluate(splits).p_hat
+
+    # -- the container ---------------------------------------------------------
     @abc.abstractmethod
-    def _pop(self):
+    def _pop(self) -> BaBNode:
         """Remove and return the next sub-problem in exploration order."""
 
     @abc.abstractmethod
-    def _reinsert(self, item) -> None:
-        """Undo a pop so the item is the next to be re-popped."""
+    def _push(self, node: BaBNode) -> None:
+        """Add a newly bounded, still undecided sub-problem."""
+
+    @abc.abstractmethod
+    def _reinsert(self, node: BaBNode) -> None:
+        """Undo the latest pop so ``node`` is the next to be re-popped."""
 
 
 class DriverRun:
@@ -339,6 +456,38 @@ class DriverRun:
             verdict = self.source.round_complete()
         self._verdict = verdict
         return verdict
+
+
+class EngineRun(VerifierRun):
+    """A verifier's resumable run: a :class:`DriverRun` and its result mapping.
+
+    ``finish`` maps the terminal :class:`DriverVerdict` to the verifier's
+    :class:`~repro.verifiers.result.VerificationResult`.  It runs exactly
+    once and the result is kept, so every :meth:`step` and
+    :meth:`interrupt` after the end returns that same object; only an
+    unfinished run is interrupted, through the source's ``timeout``.
+    """
+
+    def __init__(self, driver_run: DriverRun,
+                 finish: Callable[[DriverVerdict], VerificationResult]) -> None:
+        self.driver_run = driver_run
+        self.finish = finish
+        self._result: Optional[VerificationResult] = None
+
+    def step(self) -> Optional[VerificationResult]:
+        """Advance one frontier round; the final result once finished."""
+        if self._result is None:
+            verdict = self.driver_run.step()
+            if verdict is None:
+                return None
+            self._result = self.finish(verdict)
+        return self._result
+
+    def interrupt(self) -> VerificationResult:
+        """Finish an unfinished run with the source's TIMEOUT verdict."""
+        if self._result is None:
+            self._result = self.finish(self.driver_run.source.timeout())
+        return self._result
 
 
 class FrontierDriver:

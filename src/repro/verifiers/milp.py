@@ -87,9 +87,6 @@ class _Encoding:
     binary_index: dict
     num_variables: int
 
-    def x_slice(self) -> slice:
-        return slice(0, self.num_inputs)
-
 
 def _build_encoding(network: LoweredNetwork, unstable: Sequence[Tuple[int, int]],
                     with_binaries: bool) -> _Encoding:
@@ -289,6 +286,19 @@ def problem_fingerprint(network: LoweredNetwork, box: InputBox,
     digest.update(np.ascontiguousarray(spec.coefficients, dtype=float).tobytes())
     digest.update(np.ascontiguousarray(spec.offsets, dtype=float).tobytes())
     return digest.hexdigest()
+
+
+def shared_cache_fingerprint(cache: Optional[LpCache], network: LoweredNetwork,
+                             spec: Specification) -> Optional[str]:
+    """The fingerprint scoping a shared leaf-LP cache, or ``None`` without one.
+
+    Scoping only matters for an externally shared ``cache``: a fresh
+    per-run cache never sees another problem's keys, so the weight digest
+    is skipped (``None``) when the verifier was given no cache.
+    """
+    if cache is None:
+        return None
+    return problem_fingerprint(network, spec.input_box, spec.output_spec)
 
 
 def _leaf_phase_signature(network: LoweredNetwork, report: BoundReport,

@@ -20,7 +20,7 @@ from repro.baselines.alphabeta_crown import AlphaBetaCrownVerifier
 from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment
 from repro.core.abonn import AbonnVerifier
 from repro.core.config import AbonnConfig
-from repro.engine.driver import DriverVerdict, FrontierDriver, WorkSource
+from repro.engine.driver import DriverVerdict, EngineRun, FrontierDriver, WorkSource
 from repro.specs.robustness import local_robustness_spec
 from repro.utils import Budget
 from repro.verifiers.result import VerificationStatus
@@ -279,6 +279,40 @@ class TestVerdictEqualityAcrossSources:
             assert set(stats) == {"hits", "misses", "solves", "evictions",
                                   "hit_rate"}
             assert stats["misses"] == stats["solves"]
+
+
+VERIFIERS = pytest.mark.parametrize(
+    "make", [AbonnVerifier, BaBBaselineVerifier, AlphaBetaCrownVerifier],
+    ids=["abonn", "bab-baseline", "alpha-beta-crown"])
+
+
+class TestRunContract:
+    """A finished run keeps its one result; only an unfinished run interrupts."""
+
+    @VERIFIERS
+    @pytest.mark.parametrize("index,expected", [
+        (12, VerificationStatus.VERIFIED), (13, VerificationStatus.FALSIFIED)])
+    def test_finished_run_returns_its_result(self, make, index, expected,
+                                             trained_network):
+        network, dataset = trained_network
+        run = make().start_run(network, problem(dataset, index, 0.2),
+                               Budget(max_nodes=300))
+        assert isinstance(run, EngineRun), "the problem must reach BaB"
+        result = run.run_to_completion()
+        assert result.status == expected
+        assert run.step() is result
+        assert run.interrupt() is result
+
+    @VERIFIERS
+    def test_interrupted_run_keeps_its_timeout(self, make, trained_network):
+        network, dataset = trained_network
+        run = make().start_run(network, problem(dataset, 12, 0.2),
+                               Budget(max_nodes=300))
+        assert run.step() is None
+        result = run.interrupt()
+        assert result.status == VerificationStatus.TIMEOUT
+        assert run.step() is result
+        assert run.interrupt() is result
 
 
 class TestSingleFrontierLoop:
